@@ -17,16 +17,17 @@ from .errors import PreconditionError, UnsolvableError
 from .matcore import (
     DEFAULT_TOL,
     Tol,
-    _require_projector,
     adj,
     as_cmat,
     idempotent_defect,
     pinv,
     rel_residual,
+    require_projector,
+    require_square_pair,
 )
 from .report import Report, check_flag, check_le
 from .solvers import SolutionFamily, sandwich_solve
-from .starorder import range_inclusion_residual, star_leq, star_residuals
+from .starorder import range_inclusion_residual, require_star_leq, star_leq, star_residuals
 
 __all__ = [
     "projector_char",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 
+def _require_range_in(p: np.ndarray, b: np.ndarray, tol: Tol, p_name: str, b_name: str) -> None:
+    gap = range_inclusion_residual(p, b, tol)
+    if gap > tol.res_rtol:
+        raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
+
+
 def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL) -> Report:
     """One-sided compression test: p b <=* b iff p commutes with b b*.
 
@@ -50,21 +57,13 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
     """
     pm = as_cmat(p)
     bm = as_cmat(b)
-    _require_projector(pm, tol, "p")
+    require_projector(pm, tol, "p")
     if side == "left":
-        gap = range_inclusion_residual(pm, bm, tol)
-        if gap > tol.res_rtol:
-            raise PreconditionError(
-                f"range(p) is not inside range(b) (residual {gap:.3e})"
-            )
+        _require_range_in(pm, bm, tol, "p", "b")
         gram = bm @ adj(bm)
         compressed = pm @ bm
     elif side == "right":
-        gap = range_inclusion_residual(pm, adj(bm), tol)
-        if gap > tol.res_rtol:
-            raise PreconditionError(
-                f"range(p) is not inside range(b*) (residual {gap:.3e})"
-            )
+        _require_range_in(pm, adj(bm), tol, "p", "b*")
         gram = adj(bm) @ bm
         compressed = bm @ pm
     else:
@@ -89,14 +88,10 @@ def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     pm = as_cmat(p)
     bm = as_cmat(b)
     qm = as_cmat(q)
-    _require_projector(pm, tol, "p")
-    _require_projector(qm, tol, "q")
-    gap_p = range_inclusion_residual(pm, bm, tol)
-    if gap_p > tol.res_rtol:
-        raise PreconditionError(f"range(p) is not inside range(b) (residual {gap_p:.3e})")
-    gap_q = range_inclusion_residual(qm, adj(bm), tol)
-    if gap_q > tol.res_rtol:
-        raise PreconditionError(f"range(q) is not inside range(b*) (residual {gap_q:.3e})")
+    require_projector(pm, tol, "p")
+    require_projector(qm, tol, "q")
+    _require_range_in(pm, bm, tol, "p", "b")
+    _require_range_in(qm, adj(bm), tol, "q", "b*")
 
     compressed = pm @ bm @ qm
     right = bm @ qm @ adj(bm)
@@ -125,10 +120,7 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """
     am = as_cmat(a)
     cm = as_cmat(c_idempotent)
-    if am.shape != cm.shape or am.shape[0] != am.shape[1]:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape} and {cm.shape}"
-        )
+    require_square_pair(am, cm)
     defect = idempotent_defect(cm)
     if defect > tol.res_rtol:
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
@@ -176,17 +168,10 @@ def gp_decompose(a, b_gp, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     projection b with b <=* a.  X = a itself is such a witness."""
     am = as_cmat(a)
     bm = as_cmat(b_gp)
-    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape} and {bm.shape}"
-        )
+    require_square_pair(am, bm)
     if not is_generalized_projection(bm, tol):
         raise PreconditionError("b is not a generalized projection")
-    r1, r2 = star_residuals(bm, am)
-    if r1 > tol.res_rtol or r2 > tol.res_rtol:
-        raise PreconditionError(
-            f"b is not below a in the star order (residuals {r1:.3e}, {r2:.3e})"
-        )
+    require_star_leq(bm, am, tol, "gp_decompose requires b <=* a")
     return am.copy()
 
 
@@ -199,22 +184,11 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     """
     am = as_cmat(a_gp)
     bm = as_cmat(b)
-    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape} and {bm.shape}"
-        )
+    require_square_pair(am, bm)
     if not is_generalized_projection(am, tol):
         raise PreconditionError("a is not a generalized projection")
-    r1, r2 = star_residuals(bm, am)
-    if r1 > tol.res_rtol or r2 > tol.res_rtol:
-        raise PreconditionError(
-            f"b is not below a in the star order (residuals {r1:.3e}, {r2:.3e})"
-        )
-    r1s, r2s = star_residuals(bm, adj(am))
-    if r1s > tol.res_rtol or r2s > tol.res_rtol:
-        raise PreconditionError(
-            f"b is not below a* in the star order (residuals {r1s:.3e}, {r2s:.3e})"
-        )
+    require_star_leq(bm, am, tol, "meet_split requires b <=* a")
+    require_star_leq(bm, adj(am), tol, "meet_split requires b <=* a*")
     x = am @ adj(am) - bm
     rt = tol.res_rtol
     checks = (
@@ -239,10 +213,7 @@ def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Rep
     """
     am = as_cmat(a_idem)
     bm = as_cmat(b)
-    if am.shape != bm.shape or am.shape[0] != am.shape[1]:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape} and {bm.shape}"
-        )
+    require_square_pair(am, bm)
     defect = idempotent_defect(am)
     if defect > tol.res_rtol:
         raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
@@ -272,14 +243,14 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     am = as_cmat(a)
     cm = as_cmat(c_gp)
     bm = as_cmat(b)
-    if am.shape != bm.shape or am.shape != cm.shape or am.shape[0] != am.shape[1]:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape}, {cm.shape}, {bm.shape}"
-        )
+    require_square_pair(am, cm)
+    require_square_pair(am, bm)
     if not is_generalized_projection(cm, tol):
         raise PreconditionError("c is not a generalized projection")
     cc = cm @ adj(cm)
-    lhs = star_leq(bm, am, tol) and star_leq(bm, cc, tol)
+    below_a = star_leq(bm, am, tol)
+    below_cc = star_leq(bm, cc, tol)
+    lhs = below_a and below_cc
 
     b_idem = idempotent_defect(bm)
     try:
@@ -293,8 +264,8 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     rt = tol.res_rtol
     rhs = b_idem <= rt and witness_exists and y_left <= rt and y_right <= rt
     checks = (
-        check_flag("lower_bound_of_a", star_leq(bm, am, tol)),
-        check_flag("lower_bound_of_ccstar", star_leq(bm, cc, tol)),
+        check_flag("lower_bound_of_a", below_a),
+        check_flag("lower_bound_of_ccstar", below_cc),
         check_le("b_idempotent", b_idem, rt),
         check_flag("sandwich_witness_exists", witness_exists),
         check_le("bstar_y", y_left, rt),

@@ -11,7 +11,10 @@ platform (across platforms, up to the last-ulp behavior of libm's
 log/cos/sin).
 
 Generators are pure functions of (dimensions, Seed); batch generation over
-stream indices shares no state.
+stream indices shares no state.  The ``gen_*`` functions validate their
+arguments and draw from a fresh stream; the builders they wrap (``unitary``,
+``rank_r``, ``star_pair``, ...) take a caller's SplitMix64 and trusted
+arguments, so one trial can chain several draws from one stream.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class SplitMix64:
         return (self.u64(n) & np.uint64(1)).astype(bool)
 
 
-def _unitary(rng: SplitMix64, n: int) -> np.ndarray:
+def unitary(rng: SplitMix64, n: int) -> np.ndarray:
     """Haar-like unitary: QR of a complex Gaussian with phase-fixed diagonal."""
     g = rng.complex_gaussian(n, n)
     q, r = np.linalg.qr(g)
@@ -129,26 +132,26 @@ def _spread_values(rng: SplitMix64, r: int) -> np.ndarray:
     return 0.5 + 1.5 * (np.arange(r) + 0.1 + 0.8 * u) / r
 
 
-def _rank_r(rng: SplitMix64, m: int, n: int, r: int) -> np.ndarray:
+def rank_r(rng: SplitMix64, m: int, n: int, r: int) -> np.ndarray:
     if r == 0:
         return np.zeros((m, n), dtype=np.complex128)
-    u = _unitary(rng, m)
-    v = _unitary(rng, n)
+    u = unitary(rng, m)
+    v = unitary(rng, n)
     s = _spread_values(rng, r)
     return (u[:, :r] * s) @ adj(v[:, :r])
 
 
-def _invertible(rng: SplitMix64, n: int) -> np.ndarray:
+def invertible(rng: SplitMix64, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    return _rank_r(rng, n, n, n)
+    return rank_r(rng, n, n, n)
 
 
 def _hermitian_invertible(rng: SplitMix64, n: int) -> np.ndarray:
     """Hermitian with eigenvalues of magnitude in [0.5, 2] and random signs."""
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    q = _unitary(rng, n)
+    q = unitary(rng, n)
     eig = _spread_values(rng, n) * np.where(rng.bits(n), 1.0, -1.0)
     return (q * eig) @ adj(q)
 
@@ -162,39 +165,42 @@ def _embed_blocks(n: int, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     return d
 
 
-def _star_pair(
+def star_pair(
     rng: SplitMix64, n: int, r: int, k: int, hermitian: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     if hermitian:
-        u = _unitary(rng, n)
+        u = unitary(rng, n)
         v = u
         a1 = _hermitian_invertible(rng, r)
         b1 = _hermitian_invertible(rng, k)
     else:
-        u = _unitary(rng, n)
-        v = _unitary(rng, n)
-        a1 = _invertible(rng, r)
-        b1 = _invertible(rng, k)
+        u = unitary(rng, n)
+        v = unitary(rng, n)
+        a1 = invertible(rng, r)
+        b1 = invertible(rng, k)
     big = u @ _embed_blocks(n, a1, b1) @ adj(v)
     small = u @ _embed_blocks(n, a1, np.zeros((0, 0))) @ adj(v)
     return big, small
 
 
-def _gp(rng: SplitMix64, n: int, multiplicities: tuple[int, int, int]) -> np.ndarray:
+def gp(
+    rng: SplitMix64, n: int, multiplicities: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized projection and its unitary eigenbasis, eigenvalue-1 columns first."""
     m1, mw, mw2 = multiplicities
-    u = _unitary(rng, n)
+    u = unitary(rng, n)
     d = np.zeros(n, dtype=np.complex128)
     d[:m1] = 1.0
     d[m1 : m1 + mw] = _OMEGA
     d[m1 + mw : m1 + mw + mw2] = _OMEGA**2
-    return (u * d) @ adj(u)
+    return (u * d) @ adj(u), u
 
 
-def _idempotent(rng: SplitMix64, n: int, r: int, skew: float) -> np.ndarray:
+def idempotent(rng: SplitMix64, n: int, r: int, skew: float) -> np.ndarray:
     d = np.zeros((n, n), dtype=np.complex128)
     d[:r, :r] = np.eye(r)
     if skew == 0.0:
-        q = _unitary(rng, n)
+        q = unitary(rng, n)
         return q @ d @ adj(q)
     for _ in range(10):
         basis = np.eye(n, dtype=np.complex128) + skew * rng.complex_gaussian(n, n)
@@ -203,7 +209,7 @@ def _idempotent(rng: SplitMix64, n: int, r: int, skew: float) -> np.ndarray:
     raise NumericError("could not draw a well-conditioned similarity in 10 attempts")
 
 
-def _thm23_instance(
+def thm23_instance(
     rng: SplitMix64, a: np.ndarray, positive: bool, tol: Tol
 ) -> np.ndarray:
     n = a.shape[0]
@@ -226,7 +232,7 @@ def gen_unitary(n: int, seed: Seed) -> np.ndarray:
     """Seeded n x n unitary (orthonormalized complex Gaussian)."""
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    return _unitary(SplitMix64(seed), n)
+    return unitary(SplitMix64(seed), n)
 
 
 def gen_rank_r(m: int, n: int, r: int, seed: Seed) -> np.ndarray:
@@ -235,7 +241,7 @@ def gen_rank_r(m: int, n: int, r: int, seed: Seed) -> np.ndarray:
         raise PreconditionError(f"dimensions must be >= 1, got {m}x{n}")
     if not 0 <= r <= min(m, n):
         raise PreconditionError(f"rank must satisfy 0 <= r <= {min(m, n)}, got {r}")
-    return _rank_r(SplitMix64(seed), m, n, r)
+    return rank_r(SplitMix64(seed), m, n, r)
 
 
 def gen_star_pair(
@@ -251,7 +257,7 @@ def gen_star_pair(
         raise PreconditionError(f"n must be >= 1, got {n}")
     if r < 0 or k < 0 or r + k > n:
         raise PreconditionError(f"need r, k >= 0 and r + k <= n, got r={r}, k={k}, n={n}")
-    return _star_pair(SplitMix64(seed), n, r, k, hermitian)
+    return star_pair(SplitMix64(seed), n, r, k, hermitian)
 
 
 def gen_gp(n: int, multiplicities: tuple[int, int, int], seed: Seed) -> np.ndarray:
@@ -267,7 +273,7 @@ def gen_gp(n: int, multiplicities: tuple[int, int, int], seed: Seed) -> np.ndarr
         raise PreconditionError(
             f"multiplicities must be nonnegative with sum <= {n}, got {multiplicities}"
         )
-    return _gp(SplitMix64(seed), n, (m1, mw, mw2))
+    return gp(SplitMix64(seed), n, (m1, mw, mw2))[0]
 
 
 def gen_idempotent(n: int, r: int, skew: float, seed: Seed) -> np.ndarray:
@@ -283,7 +289,7 @@ def gen_idempotent(n: int, r: int, skew: float, seed: Seed) -> np.ndarray:
         raise PreconditionError(f"rank must satisfy 0 <= r <= {n}, got {r}")
     if skew < 0:
         raise PreconditionError(f"skew must be >= 0, got {skew}")
-    return _idempotent(SplitMix64(seed), n, r, skew)
+    return idempotent(SplitMix64(seed), n, r, skew)
 
 
 def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -298,4 +304,4 @@ def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) ->
     am = as_cmat(a)
     if am.shape[0] != am.shape[1]:
         raise PreconditionError(f"a must be square, got {am.shape}")
-    return _thm23_instance(SplitMix64(seed), am, positive, tol)
+    return thm23_instance(SplitMix64(seed), am, positive, tol)

@@ -10,6 +10,7 @@ need no topological hypotheses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,12 @@ def as_cmat(a) -> np.ndarray:
     return m
 
 
+def _is_cmat(m) -> bool:
+    """True for a nonempty 2-D complex128 array: as_cmat returns it unchanged
+    once its entries are known to be finite."""
+    return isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2 and m.size > 0
+
+
 @dataclass(frozen=True)
 class Svd:
     """Full singular value decomposition a = u @ diag(s) @ vh (s padded by zeros)."""
@@ -93,15 +100,18 @@ def svd(a) -> Svd:
     return Svd(u, s, vh)
 
 
-def _cutoff(s: np.ndarray, shape: tuple[int, int], tol: Tol) -> float:
-    top = float(s[0]) if s.size else 0.0
-    return tol.rank_rtol * top * max(shape)
+def rank_cutoff(f: Svd, tol: Tol, scale: float | None = None) -> float:
+    """Rank-decision bound ``rank_rtol * reference * max(m, n)``; the reference is
+    sigma_max, raised to ``scale`` when a hint is given (see ``pinv``)."""
+    top = float(f.s[0]) if f.s.size else 0.0
+    reference = max(top, scale) if scale is not None else top
+    return tol.rank_rtol * reference * max(f.u.shape[0], f.vh.shape[0])
 
 
 def rank_of(a, tol: Tol = DEFAULT_TOL) -> int:
     """Number of singular values above the relative rank cutoff."""
     f = svd(a)
-    return int(np.count_nonzero(f.s > _cutoff(f.s, (f.u.shape[0], f.vh.shape[0]), tol)))
+    return int(np.count_nonzero(f.s > rank_cutoff(f, tol)))
 
 
 def pinv(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
@@ -113,11 +123,8 @@ def pinv(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
     data as ``scale``: the cutoff then uses ``max(sigma_max, scale)``, so a
     numerically-zero input inverts to zero instead of amplifying noise.
     """
-    m = as_cmat(a)
-    f = svd(m)
-    top = float(f.s[0]) if f.s.size else 0.0
-    reference = max(top, scale) if scale is not None else top
-    keep = f.s > tol.rank_rtol * reference * max(m.shape)
+    f = svd(a)
+    keep = f.s > rank_cutoff(f, tol, scale)
     inv = np.zeros_like(f.s)
     inv[keep] = 1.0 / f.s[keep]
     k = f.s.size
@@ -149,9 +156,14 @@ def rel_residual(e, scale) -> float:
     The unit clamp keeps residuals meaningful around the zero matrix; this is
     the single residual convention used by every predicate in the package.
     """
-    em = as_cmat(e)
-    sm = as_cmat(scale)
-    return float(np.linalg.norm(em) / max(1.0, float(np.linalg.norm(sm))))
+    if not (_is_cmat(e) and _is_cmat(scale)):
+        e, scale = as_cmat(e), as_cmat(scale)
+    num, den = np.linalg.norm(e), np.linalg.norm(scale)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
+        as_cmat(e)
+        as_cmat(scale)
+    return float(num / max(1.0, float(den)))
 
 
 def hermitian_defect(a, scale=None) -> float:
@@ -174,7 +186,16 @@ def is_projector(p, tol: Tol = DEFAULT_TOL) -> bool:
     return hermitian_defect(m) <= tol.res_rtol and idempotent_defect(m) <= tol.res_rtol
 
 
-def _require_projector(p: np.ndarray, tol: Tol, name: str) -> None:
+def require_square_pair(a: np.ndarray, b: np.ndarray) -> int:
+    """Common dimension n of two n x n matrices; raises PreconditionError otherwise."""
+    if a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise PreconditionError(
+            f"expected square matrices of one common dimension, got {a.shape} and {b.shape}"
+        )
+    return a.shape[0]
+
+
+def require_projector(p: np.ndarray, tol: Tol, name: str) -> None:
     if p.shape[0] != p.shape[1]:
         raise PreconditionError(f"{name} must be square, got {p.shape}")
     h = hermitian_defect(p)
@@ -194,8 +215,8 @@ def meet_projector(p, q, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     pm = as_cmat(p)
     qm = as_cmat(q)
-    _require_projector(pm, tol, "p")
-    _require_projector(qm, tol, "q")
+    require_projector(pm, tol, "p")
+    require_projector(qm, tol, "q")
     if pm.shape != qm.shape:
         raise PreconditionError(f"projector shapes differ: {pm.shape} vs {qm.shape}")
     return 2.0 * pm @ pinv(pm + qm, tol) @ qm

@@ -21,9 +21,10 @@ from .matcore import (
     hermitian_defect,
     pinv,
     rel_residual,
+    require_square_pair,
 )
 from .report import Report, check_flag, check_le
-from .starorder import range_inclusion_residual, star_residuals
+from .starorder import range_inclusion_residual, require_star_leq, star_residuals
 
 __all__ = [
     "SolutionFamily",
@@ -126,19 +127,11 @@ def sandwich_solve(
     return SolutionFamily(particular, ((am.shape[1], bm.shape[0]),), apply)
 
 
-def _require_square_pair(a: np.ndarray, b: np.ndarray) -> int:
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise PreconditionError(
-            f"expected square matrices of one common dimension, got {a.shape} and {b.shape}"
-        )
-    return a.shape[0]
-
-
 def system_criterion_residual(a, b, tol: Tol = DEFAULT_TOL) -> float:
     """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
     am = as_cmat(a)
     bm = as_cmat(b)
-    _require_square_pair(am, bm)
+    require_square_pair(am, bm)
     ap = pinv(am, tol)
     return rel_residual(am @ ap @ bm @ ap @ am - bm, bm)
 
@@ -156,22 +149,14 @@ def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
     return system_criterion_residual(a, bm, tol) <= tol.res_rtol
 
 
-def _require_star(b: np.ndarray, a: np.ndarray, tol: Tol, what: str) -> None:
-    r1, r2 = star_residuals(b, a)
-    if r1 > tol.res_rtol or r2 > tol.res_rtol:
-        raise PreconditionError(
-            f"{what} requires b <=* a; residuals {r1:.3e}, {r2:.3e}"
-        )
-
-
 def system_particular(
     a, b, tol: Tol = DEFAULT_TOL, which: Literal["pinv_a", "pinv_b"] = "pinv_a"
 ) -> np.ndarray:
     """A closed-form solution of b X a = b = a X b when b <=* a: a+ or b+."""
     am = as_cmat(a)
     bm = as_cmat(b)
-    _require_square_pair(am, bm)
-    _require_star(bm, am, tol, "system_particular")
+    require_square_pair(am, bm)
+    require_star_leq(bm, am, tol, "system_particular requires b <=* a")
     if which == "pinv_a":
         return pinv(am, tol)
     if which == "pinv_b":
@@ -191,14 +176,14 @@ def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     am = as_cmat(a)
     bm = as_cmat(b)
-    n = _require_square_pair(am, bm)
+    n = require_square_pair(am, bm)
     sm = as_cmat(s)
     tm = as_cmat(t)
     if sm.shape != (n, n) or tm.shape != (n, n):
         raise PreconditionError(
             f"parameters must be {n}x{n}, got {sm.shape} and {tm.shape}"
         )
-    _require_star(bm, am, tol, "system_general")
+    require_star_leq(bm, am, tol, "system_general requires b <=* a")
 
     ap = pinv(am, tol)
     bp = pinv(bm, tol)
@@ -231,7 +216,7 @@ def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     am = as_cmat(a)
     bm = as_cmat(b)
     xm = as_cmat(x)
-    n = _require_square_pair(am, bm)
+    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
     r_bxa = rel_residual(bm @ xm @ am - bm, bm)
@@ -259,7 +244,7 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     am = as_cmat(a)
     bm = as_cmat(b)
     xm = as_cmat(x_big)
-    n = _require_square_pair(am, bm)
+    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x_big must be {n}x{n}, got {xm.shape}")
     r_bxa = rel_residual(bm @ xm @ am - bm, bm)
@@ -285,7 +270,7 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     cm = as_cmat(c)
     dm = as_cmat(d)
     wm = as_cmat(w_hermitian)
-    n = _require_square_pair(am, bm)
+    n = require_square_pair(am, bm)
     for name, mat in (("c", cm), ("d", dm), ("w", wm)):
         if mat.shape != (n, n):
             raise PreconditionError(f"{name} must be {n}x{n}, got {mat.shape}")
@@ -328,8 +313,8 @@ def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     am = as_cmat(a)
     bm = as_cmat(b)
-    _require_square_pair(am, bm)
-    _require_star(bm, am, tol, "system_hermitian")
+    require_square_pair(am, bm)
+    require_star_leq(bm, am, tol, "system_hermitian requires b <=* a")
     ap = pinv(am, tol)
     h1 = hermitian_defect(adj(bm) @ ap @ bm)
     h2 = hermitian_defect(bm @ adj(ap) @ adj(bm))
@@ -351,7 +336,7 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     am = as_cmat(a)
     bm = as_cmat(b)
     xm = as_cmat(x)
-    n = _require_square_pair(am, bm)
+    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
     ap = pinv(am, tol)

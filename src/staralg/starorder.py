@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotComparableError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, pinv, rel_residual, svd
+from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, pinv, rank_cutoff, rel_residual, svd
 
 __all__ = [
     "StarWitness",
@@ -45,6 +45,14 @@ def star_leq(a, b, tol: Tol = DEFAULT_TOL) -> bool:
     return r1 <= tol.res_rtol and r2 <= tol.res_rtol
 
 
+def require_star_leq(a: np.ndarray, b: np.ndarray, tol: Tol, what: str) -> None:
+    """Raise NotComparableError unless a <=* b; ``what`` names the operation
+    and the relation it requires, e.g. "system_general requires b <=* a"."""
+    r1, r2 = star_residuals(a, b)
+    if r1 > tol.res_rtol or r2 > tol.res_rtol:
+        raise NotComparableError(f"{what}; residuals {r1:.3e}, {r2:.3e}", residuals=(r1, r2))
+
+
 @dataclass(frozen=True)
 class StarWitness:
     """Block certificate for a <=* b.
@@ -70,15 +78,9 @@ def star_leq_witness(a, b, tol: Tol = DEFAULT_TOL) -> StarWitness:
     """Block realization of a <=* b in the singular bases of a."""
     am = as_cmat(a)
     bm = as_cmat(b)
-    r1, r2 = star_residuals(am, bm)
-    if r1 > tol.res_rtol or r2 > tol.res_rtol:
-        raise NotComparableError(
-            f"a is not below b in the star order (residuals {r1:.3e}, {r2:.3e})",
-            residuals=(r1, r2),
-        )
+    require_star_leq(am, bm, tol, "star_leq_witness requires a <=* b")
     f = svd(am)
-    cut = tol.rank_rtol * (float(f.s[0]) if f.s.size else 0.0) * max(am.shape)
-    r = int(np.count_nonzero(f.s > cut))
+    r = int(np.count_nonzero(f.s > rank_cutoff(f, tol)))
     u_left = f.u
     u_right = adj(f.vh)
     a1 = np.diag(f.s[:r]).astype(np.complex128)

@@ -31,13 +31,13 @@ from .errors import PreconditionError, UnsolvableError
 from .genlab import (
     Seed,
     SplitMix64,
-    _gp,
-    _idempotent,
-    _invertible,
-    _rank_r,
-    _star_pair,
-    _thm23_instance,
-    _unitary,
+    gp,
+    idempotent,
+    invertible,
+    rank_r,
+    star_pair,
+    thm23_instance,
+    unitary,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -49,6 +49,7 @@ from .matcore import (
     pinv,
     projectors,
     rel_residual,
+    require_square_pair,
     svd,
 )
 from .report import Check, Report, check_flag, check_ge, check_le, to_line
@@ -83,11 +84,7 @@ def lsq_oracle(a, b) -> tuple[np.ndarray, float]:
     """
     am = as_cmat(a)
     bm = as_cmat(b)
-    if am.shape[0] != am.shape[1] or am.shape != bm.shape:
-        raise PreconditionError(
-            f"expected square matrices of one dimension, got {am.shape} and {bm.shape}"
-        )
-    n = am.shape[0]
+    n = require_square_pair(am, bm)
     # vec(m x a) = (a^T (x) m) vec(x) under column-major vec
     rows = np.vstack([np.kron(am.T, bm), np.kron(bm.T, am)])
     rhs = np.concatenate([bm.flatten(order="F"), bm.flatten(order="F")])
@@ -115,6 +112,74 @@ def _zeros(n: int) -> np.ndarray:
     return np.zeros((n, n), dtype=np.complex128)
 
 
+def _raises(fn, *args) -> bool:
+    """True when fn(*args) rejects its instance with UnsolvableError."""
+    try:
+        fn(*args)
+    except UnsolvableError:
+        return True
+    return False
+
+
+def _star_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Larger of the two defining residuals of a <=* b."""
+    return max(star_residuals(a, b))
+
+
+def _worst(rep: Report, *names: str) -> float:
+    """Largest residual among the named checks of a report."""
+    return max(rep.residual(name) for name in names)
+
+
+def _strict_pair(
+    rng: SplitMix64, n: int, hermitian: bool = False, min_extra: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Star pair (big, small) with 0 < rank(small) < n and rank(big) - rank(small) >= min_extra."""
+    r = 1 + rng.randint(n - 1)
+    k = min_extra + rng.randint(n - r + 1 - min_extra)
+    return star_pair(rng, n, r, k, hermitian)
+
+
+def _solves(
+    prefix: str, big: np.ndarray, small: np.ndarray, x: np.ndarray, tol: Tol
+) -> tuple[Check, Check]:
+    """Residual checks that x solves small X big = small = big X small."""
+    return (
+        check_le(f"{prefix}_bxa", rel_residual(small @ x @ big - small, small), tol.res_rtol),
+        check_le(f"{prefix}_axb", rel_residual(big @ x @ small - small, small), tol.res_rtol),
+    )
+
+
+def _inner_inverse(rng: SplitMix64, a: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """Seeded solution x of a x a = a, built around the pseudoinverse ap."""
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    return ap + (eye - ap @ a) @ rng.complex_gaussian(n, n) + rng.complex_gaussian(n, n) @ (eye - a @ ap)
+
+
+def _sub_projector(rng: SplitMix64, u: np.ndarray, k: int, min_rank: int) -> np.ndarray:
+    """Projector onto a seeded subspace, of rank at least min_rank, of span(u[:, :k])."""
+    sub = unitary(rng, k)
+    j = min_rank + rng.randint(k + 1 - min_rank)
+    cols = u[:, :k] @ sub[:, :j]
+    return cols @ adj(cols)
+
+
+def _split_negatives(rng: SplitMix64, a: np.ndarray, b: np.ndarray, tol: Tol) -> tuple[Check, ...]:
+    """Tilt b off the order below idempotent a: certificates and order both fail, in agreement."""
+    n = a.shape[0]
+    v = rng.complex_gaussian(n, 1)[:, 0]
+    v = v / np.linalg.norm(v)
+    b_bad = b + 0.1 * np.outer(v, v.conj())
+    _, rep = idempotent_split(a, b_bad, tol)
+    certs = _worst(rep, "b_idempotent", "x_idempotent", "bstar_x", "x_bstar")
+    return (
+        check_flag("neg_agree", rep.passed("star_matches_certificates")),
+        check_ge("neg_cert", certs, NEG_FLOOR, tol.res_rtol),
+        check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol),
+    )
+
+
 # ---------------------------------------------------------------------------
 # suite bodies: one function per registered claim tag
 
@@ -124,7 +189,7 @@ def _suite_penrose(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
     m = 1 + rng.randint(n)
     p = 1 + rng.randint(n)
     r = trial % (min(m, p) + 1)  # cycles through all ranks incl. 0 and full
-    a = _rank_r(rng, m, p, r)
+    a = rank_r(rng, m, p, r)
     ap = pinv(a, tol)
     return (
         check_le("fixed_a", rel_residual(a @ ap @ a - a, a), _TIGHT),
@@ -138,7 +203,7 @@ def _suite_penrose(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
 def _suite_douglas(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     c = a @ rng.complex_gaussian(n, n)
     fam = douglas_solve(a, c, tol)
     checks = [
@@ -151,19 +216,14 @@ def _suite_douglas(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
         c_bad = rng.complex_gaussian(n, n)
         crit = range_inclusion_residual(c_bad, a, tol)
         checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
-        try:
-            douglas_solve(a, c_bad, tol)
-            raised = False
-        except UnsolvableError:
-            raised = True
-        checks.append(check_flag("unsolvable_raises", raised))
+        checks.append(check_flag("unsolvable_raises", _raises(douglas_solve, a, c_bad, tol)))
     return tuple(checks)
 
 
 def _suite_lem2_2(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     b = a @ rng.complex_gaussian(n, n) @ a  # range(b) <= range(a), range(b*) <= range(a*)
     p_range, p_corange, p_null_left, p_null_right = projectors(a, tol)
     return (
@@ -176,10 +236,10 @@ def _suite_lem2_2(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
 def _suite_thm2_3(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n)  # rank-deficient so a negative instance exists
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     ap = pinv(a, tol)
-    b_pos = _thm23_instance(rng, a, True, tol)
-    b_neg = _thm23_instance(rng, a, False, tol)
+    b_pos = thm23_instance(rng, a, True, tol)
+    b_neg = thm23_instance(rng, a, False, tol)
 
     crit_pos = system_criterion_residual(a, b_pos, tol)
     crit_neg = system_criterion_residual(a, b_neg, tol)
@@ -202,18 +262,12 @@ def _suite_thm2_3(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
 def _suite_prop2_4(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     f = svd(a)
     u_r = f.u[:, :r]
     v_r = adj(f.vh)[:, :r]
-    b = u_r @ _invertible(rng, r) @ adj(v_r) if r else _zeros(n)
-    ap = pinv(a, tol)
-    eye = np.eye(n, dtype=np.complex128)
-    x = (
-        ap
-        + (eye - ap @ a) @ rng.complex_gaussian(n, n)
-        + rng.complex_gaussian(n, n) @ (eye - a @ ap)
-    )
+    b = u_r @ invertible(rng, r) @ adj(v_r) if r else _zeros(n)
+    x = _inner_inverse(rng, a, pinv(a, tol))
     rep = prop_main_check(a, b, x, tol)
     rep_rand = prop_main_check(
         rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), tol
@@ -231,16 +285,10 @@ def _suite_prop3_3(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
     k = rng.randint(n - r + 1)
-    big, small = _star_pair(rng, n, r, k, False)
+    big, small = star_pair(rng, n, r, k, False)
     checks = []
-    for name, which in (("pinv_a", "pinv_a"), ("pinv_b", "pinv_b")):
-        x = system_particular(big, small, tol, which)
-        checks.append(
-            check_le(f"{name}_bxa", rel_residual(small @ x @ big - small, small), tol.res_rtol)
-        )
-        checks.append(
-            check_le(f"{name}_axb", rel_residual(big @ x @ small - small, small), tol.res_rtol)
-        )
+    for which in ("pinv_a", "pinv_b"):
+        checks.extend(_solves(which, big, small, system_particular(big, small, tol, which), tol))
     return tuple(checks)
 
 
@@ -252,22 +300,16 @@ def _suite_prop3_4(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
     # strictly larger b is certified unsolvable by the oracle.
     rng = SplitMix64(seed)
     r = 1 + rng.randint(n)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     ap = pinv(a, tol)
     eye = np.eye(n, dtype=np.complex128)
-    x = (
-        ap
-        + (eye - ap @ a) @ rng.complex_gaussian(n, n)
-        + rng.complex_gaussian(n, n) @ (eye - a @ ap)
-    )
+    x = _inner_inverse(rng, a, ap)
     checks = [
         check_le("solution_axa", rel_residual(a @ x @ a - a, a), tol.res_rtol),
         check_le("null_spaces_equal", rel_residual(a @ (eye - ap @ a), a), tol.res_rtol),
         check_le("ranges_equal", rel_residual((eye - a @ ap) @ a, a), tol.res_rtol),
     ]
-    rs = 1 + rng.randint(n - 1)
-    ks = 1 + rng.randint(n - rs)
-    bigger, smaller = _star_pair(rng, n, rs, ks, False)
+    bigger, smaller = _strict_pair(rng, n, min_extra=1)
     checks.append(
         check_ge("strict_pair_unsolvable", _oracle_rel(smaller, bigger), NEG_FLOOR, tol.res_rtol)
     )
@@ -280,7 +322,7 @@ def _suite_rem3_5(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     ap = None
     for _ in range(100):
         r = 1 + rng.randint(n)
-        cand = _rank_r(rng, n, n, r)
+        cand = rank_r(rng, n, n, r)
         cand_p = pinv(cand, tol)
         # partial isometries (pinv == adjoint) cannot witness the failure
         if np.linalg.norm(cand_p - adj(cand)) > 1e-6 * np.linalg.norm(cand):
@@ -291,22 +333,19 @@ def _suite_rem3_5(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     astar_p = pinv(astar, tol)
     app = pinv(ap, tol)
     eye = np.eye(n, dtype=np.complex128)
-    s1, s2 = star_residuals(ap, astar)
     return (
         check_le("null_first_in_second", rel_residual(ap @ (eye - astar_p @ astar), ap), tol.res_rtol),
         check_le("null_second_in_first", rel_residual(astar @ (eye - app @ ap), astar), tol.res_rtol),
         check_le("range_first_in_second", rel_residual((eye - astar @ astar_p) @ ap, ap), tol.res_rtol),
         check_le("range_second_in_first", rel_residual((eye - ap @ app) @ astar, astar), tol.res_rtol),
         check_le("middle_identity", rel_residual(ap @ a @ ap - ap, ap), tol.res_rtol),
-        check_ge("order_fails", max(s1, s2), NEG_FLOOR, tol.res_rtol),
+        check_ge("order_fails", _star_gap(ap, astar), NEG_FLOOR, tol.res_rtol),
     )
 
 
 def _suite_thm3_6(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
-    r = 1 + rng.randint(n - 1)
-    k = rng.randint(n - r + 1)
-    big, small = _star_pair(rng, n, r, k, False)
+    big, small = _strict_pair(rng, n)
     xg = system_general(big, small, rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), tol)
     checks = []
     for name, x in (("pinv_a", pinv(big, tol)), ("pinv_b", pinv(small, tol)), ("general", xg)):
@@ -316,14 +355,8 @@ def _suite_thm3_6(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
         rep = solves_system(big, small, rng.complex_gaussian(n, n), tol)
         checks.append(check_flag(f"rand{j}_agree", rep.passed("solves_matches_dominance")))
         checks.append(check_ge(f"rand{j}_eq_margin", rep.residual("eq_bxa"), NEG_FLOOR, tol.res_rtol))
-        checks.append(
-            check_ge(
-                f"rand{j}_dom_margin",
-                max(rep.residual("dom_left"), rep.residual("dom_right")),
-                NEG_FLOOR,
-                tol.res_rtol,
-            )
-        )
+        dom = _worst(rep, "dom_left", "dom_right")
+        checks.append(check_ge(f"rand{j}_dom_margin", dom, NEG_FLOOR, tol.res_rtol))
     return tuple(checks)
 
 
@@ -331,8 +364,8 @@ def _suite_lem3_7(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     rng = SplitMix64(seed)
     r1 = 1 + rng.randint(n - 1)
     r2 = 1 + rng.randint(n)
-    a = _rank_r(rng, n, n, r1)
-    b = _rank_r(rng, n, n, r2)
+    a = rank_r(rng, n, n, r1)
+    b = rank_r(rng, n, n, r2)
     c = a @ rng.complex_gaussian(n, n) @ b
     fam = sandwich_solve(a, c, b, tol)
     checks = [
@@ -346,32 +379,19 @@ def _suite_lem3_7(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     bp = pinv(b, tol)
     crit = rel_residual(a @ ap @ c_bad @ bp @ b - c_bad, c_bad)
     checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
-    try:
-        sandwich_solve(a, c_bad, b, tol)
-        raised = False
-    except UnsolvableError:
-        raised = True
-    checks.append(check_flag("unsolvable_raises", raised))
+    checks.append(check_flag("unsolvable_raises", _raises(sandwich_solve, a, c_bad, b, tol)))
     return tuple(checks)
 
 
 def _suite_thm3_8(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
-    r = 1 + rng.randint(n - 1)
-    k = rng.randint(n - r + 1)
-    big, small = _star_pair(rng, n, r, k, False)
+    big, small = _strict_pair(rng, n)
     checks = []
     draws = [(_zeros(n), _zeros(n))] + [
         (rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)) for _ in range(5)
     ]
     for j, (s, t) in enumerate(draws):
-        x = system_general(big, small, s, t, tol)
-        checks.append(
-            check_le(f"draw{j}_bxa", rel_residual(small @ x @ big - small, small), tol.res_rtol)
-        )
-        checks.append(
-            check_le(f"draw{j}_axb", rel_residual(big @ x @ small - small, small), tol.res_rtol)
-        )
+        checks.extend(_solves(f"draw{j}", big, small, system_general(big, small, s, t, tol), tol))
     s, t = rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
     x_eq = system_general(big, big, s, t, tol)
     checks.append(check_le("equal_case", rel_residual(big @ x_eq @ big - big, big), tol.res_rtol))
@@ -386,9 +406,7 @@ def _suite_thm3_8(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
 
 def _suite_thm3_9(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
-    r = 1 + rng.randint(n - 1)
-    k = rng.randint(n - r + 1)
-    big, small = _star_pair(rng, n, r, k, False)
+    big, small = _strict_pair(rng, n)
     x_big = system_general(big, small, rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), tol)
     y = reduce_system(big, small, x_big, tol)
     ap = pinv(big, tol)
@@ -400,26 +418,18 @@ def _suite_thm3_9(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     return (
         check_le("reduced_xb", rel_residual(y @ small - target_left, target_left), tol.res_rtol),
         check_le("reduced_bx", rel_residual(small @ y - target_right, target_right), tol.res_rtol),
-        check_le("converse_bxa", rel_residual(small @ x_small @ big - small, small), tol.res_rtol),
-        check_le("converse_axb", rel_residual(big @ x_small @ small - small, small), tol.res_rtol),
+        *_solves("converse", big, small, x_small, tol),
     )
 
 
 def _suite_thm3_11(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
-    r = 1 + rng.randint(n - 1)
-    k = rng.randint(n - r + 1)
-    big, small = _star_pair(rng, n, r, k, True)
+    big, small = _strict_pair(rng, n, hermitian=True)
     checks = []
     for name, w in (("w0", _zeros(n)), ("wh", rng.hermitian_gaussian(n))):
         x = system_hermitian(big, small, w, tol)
         checks.append(check_le(f"{name}_hermitian", hermitian_defect(x), tol.res_rtol))
-        checks.append(
-            check_le(f"{name}_bxa", rel_residual(small @ x @ big - small, small), tol.res_rtol)
-        )
-        checks.append(
-            check_le(f"{name}_axb", rel_residual(big @ x @ small - small, small), tol.res_rtol)
-        )
+        checks.extend(_solves(name, big, small, x, tol))
     return tuple(checks)
 
 
@@ -441,7 +451,7 @@ def _mixing_projector(u: np.ndarray) -> np.ndarray:
 def _suite_prop4_1(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     rb = 2 + rng.randint(n - 1)
-    b = _rank_r(rng, n, n, rb)
+    b = rank_r(rng, n, n, rb)
     f = svd(b)
     v = adj(f.vh)
     checks = []
@@ -450,14 +460,8 @@ def _suite_prop4_1(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
         checks.append(check_flag(f"{side}_pos_verdict", rep.verdict))
         rep_neg = projector_char(_mixing_projector(basis), b, side, tol)
         checks.append(check_ge(f"{side}_neg_commute", rep_neg.residual("commute"), NEG_FLOOR, tol.res_rtol))
-        checks.append(
-            check_ge(
-                f"{side}_neg_star",
-                max(rep_neg.residual("star_left"), rep_neg.residual("star_right")),
-                NEG_FLOOR,
-                tol.res_rtol,
-            )
-        )
+        star = _worst(rep_neg, "star_left", "star_right")
+        checks.append(check_ge(f"{side}_neg_star", star, NEG_FLOOR, tol.res_rtol))
         checks.append(check_flag(f"{side}_neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
@@ -465,7 +469,7 @@ def _suite_prop4_1(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
 def _suite_prop4_2(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     rb = 2 + rng.randint(n - 1)
-    b = _rank_r(rng, n, n, rb)
+    b = rank_r(rng, n, n, rb)
     f = svd(b)
     v = adj(f.vh)
     mask = rng.bits(rb)
@@ -477,22 +481,10 @@ def _suite_prop4_2(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
     checks = [check_flag("pos_verdict", rep.verdict)]
     q_full = v[:, :rb] @ adj(v[:, :rb])
     rep_neg = pbq_char(_mixing_projector(f.u), b, q_full, tol)
-    checks.append(
-        check_ge(
-            "neg_commute",
-            max(rep_neg.residual("commute_range"), rep_neg.residual("commute_corange")),
-            NEG_FLOOR,
-            tol.res_rtol,
-        )
-    )
-    checks.append(
-        check_ge(
-            "neg_star",
-            max(rep_neg.residual("star_left"), rep_neg.residual("star_right")),
-            NEG_FLOOR,
-            tol.res_rtol,
-        )
-    )
+    commute = _worst(rep_neg, "commute_range", "commute_corange")
+    checks.append(check_ge("neg_commute", commute, NEG_FLOOR, tol.res_rtol))
+    star = _worst(rep_neg, "star_left", "star_right")
+    checks.append(check_ge("neg_star", star, NEG_FLOOR, tol.res_rtol))
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
@@ -501,11 +493,10 @@ def _suite_thm4_3(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     rng = SplitMix64(seed)
     rc = 1 + rng.randint(n)
     skew = 0.2 + 0.6 * float(rng.uniforms(1)[0])
-    c = _idempotent(rng, n, rc, skew)
+    c = idempotent(rng, n, rc, skew)
     outer = np.eye(n, dtype=np.complex128) - adj(c)
     a = c + outer @ rng.complex_gaussian(n, n) @ outer
     fam = deng_decompose(a, c, tol)
-    s1, s2 = star_residuals(c, a)
     checks = [
         check_le("recon_particular", rel_residual(a - c - outer @ fam.particular @ outer, a), tol.res_rtol),
         check_le(
@@ -513,20 +504,14 @@ def _suite_thm4_3(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
             rel_residual(a - c - outer @ fam.instantiate([rng.complex_gaussian(n, n)]) @ outer, a),
             tol.res_rtol,
         ),
-        check_le("converse_star", max(s1, s2), tol.res_rtol),
+        check_le("converse_star", _star_gap(c, a), tol.res_rtol),
     ]
     a_bad = a + 0.1 * (adj(c) @ rng.complex_gaussian(n, n) @ adj(c))
     op = pinv(outer, tol, scale=max(1.0, float(np.linalg.norm(c))))
     crit = rel_residual(outer @ op @ (a_bad - c) @ op @ outer - (a_bad - c), a_bad - c)
     checks.append(check_ge("neg_criterion", crit, NEG_FLOOR, tol.res_rtol))
-    n1, n2 = star_residuals(c, a_bad)
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
-    try:
-        deng_decompose(a_bad, c, tol)
-        raised = False
-    except UnsolvableError:
-        raised = True
-    checks.append(check_flag("neg_raises", raised))
+    checks.append(check_ge("neg_star", _star_gap(c, a_bad), NEG_FLOOR, tol.res_rtol))
+    checks.append(check_flag("neg_raises", _raises(deng_decompose, a_bad, c, tol)))
     return tuple(checks)
 
 
@@ -539,7 +524,7 @@ def _split_mults(rng: SplitMix64, total: int) -> tuple[int, int, int]:
 def _suite_lem4_4(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     total = rng.randint(n + 1)
-    g = _gp(rng, n, _split_mults(rng, total))
+    g, _ = gp(rng, n, _split_mults(rng, total))
     rep = gp_check(g, tol)
     raw = rng.complex_gaussian(n, n)
     rep_neg = gp_check(raw, tol)
@@ -555,22 +540,20 @@ def _suite_lem4_4(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
 def _suite_thm4_5(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     total = 1 + rng.randint(n)
-    b = _gp(rng, n, _split_mults(rng, total))
+    b, _ = gp(rng, n, _split_mults(rng, total))
     eye = np.eye(n, dtype=np.complex128)
     left = eye - b @ adj(b)
     right = eye - adj(b) @ b
     a = b + left @ rng.complex_gaussian(n, n) @ right
     x = gp_decompose(a, b, tol)
-    s1, s2 = star_residuals(b, a)
     checks = [
         check_le("recon", rel_residual(a - b - left @ x @ right, a), tol.res_rtol),
-        check_le("converse_star", max(s1, s2), tol.res_rtol),
+        check_le("converse_star", _star_gap(b, a), tol.res_rtol),
     ]
     a_bad = a + 0.1 * (b @ adj(b) @ rng.complex_gaussian(n, n))
     crit = rel_residual(left @ (a_bad - b) @ right - (a_bad - b), a_bad - b)
-    n1, n2 = star_residuals(b, a_bad)
     checks.append(check_ge("neg_criterion", crit, NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
+    checks.append(check_ge("neg_star", _star_gap(b, a_bad), NEG_FLOOR, tol.res_rtol))
     checks.append(
         check_ge(
             "neg_recon",
@@ -588,17 +571,8 @@ def _suite_thm4_6(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     rest = n - m1
     mw = rng.randint(rest + 1)
     mw2 = rng.randint(rest - mw + 1)
-    u = _unitary(rng, n)
-    d = np.zeros(n, dtype=np.complex128)
-    d[:m1] = 1.0
-    omega = complex(-0.5, np.sqrt(3.0) / 2.0)
-    d[m1 : m1 + mw] = omega
-    d[m1 + mw : m1 + mw + mw2] = omega**2
-    a = (u * d) @ adj(u)
-    sub = _unitary(rng, m1)
-    j = rng.randint(m1 + 1)
-    cols = u[:, :m1] @ sub[:, :j]
-    b = cols @ adj(cols)
+    a, u = gp(rng, n, (m1, mw, mw2))
+    b = _sub_projector(rng, u, m1, 0)
     x, rep = meet_split(a, b, tol)
     checks = [
         check_flag("pos_verdict", rep.verdict),
@@ -607,19 +581,18 @@ def _suite_thm4_6(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     jout = m1 + rng.randint(n - m1)
     v = u[:, jout]
     b_bad = b + 0.1 * np.outer(v, v.conj())
-    n1, n2 = star_residuals(b_bad, a)
     checks.append(check_ge("neg_idempotent", idempotent_defect(b_bad), NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
+    checks.append(check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol))
     return tuple(checks)
 
 
 def _suite_lem4_7(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     k = 1 + rng.randint(n - 1)
-    w = _unitary(rng, n)
+    w = unitary(rng, n)
     skew = 0.2 + 0.6 * float(rng.uniforms(1)[0])
-    b_block = _idempotent(rng, k, 1 + rng.randint(k), skew)
-    x_block = _idempotent(rng, n - k, rng.randint(n - k + 1), skew)
+    b_block = idempotent(rng, k, 1 + rng.randint(k), skew)
+    x_block = idempotent(rng, n - k, rng.randint(n - k + 1), skew)
     emb_b = _zeros(n)
     emb_b[:k, :k] = b_block
     emb_x = _zeros(n)
@@ -627,75 +600,32 @@ def _suite_lem4_7(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]
     b = w @ emb_b @ adj(w)
     a = w @ (emb_b + emb_x) @ adj(w)
     x, rep = idempotent_split(a, b, tol)
-    s1, s2 = star_residuals(b, a)
-    checks = [
+    return (
         check_flag("pos_verdict", rep.verdict),
-        check_le("pos_star", max(s1, s2), tol.res_rtol),
-    ]
-    vvec = rng.complex_gaussian(n, 1)[:, 0]
-    vvec = vvec / np.linalg.norm(vvec)
-    b_bad = b + 0.1 * np.outer(vvec, vvec.conj())
-    _, rep_neg = idempotent_split(a, b_bad, tol)
-    cert_names = ("b_idempotent", "x_idempotent", "bstar_x", "x_bstar")
-    n1, n2 = star_residuals(b_bad, a)
-    checks.append(check_flag("neg_agree", rep_neg.passed("star_matches_certificates")))
-    checks.append(
-        check_ge("neg_cert", max(rep_neg.residual(c) for c in cert_names), NEG_FLOOR, tol.res_rtol)
+        check_le("pos_star", _star_gap(b, a), tol.res_rtol),
+        *_split_negatives(rng, a, b, tol),
     )
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
-    return tuple(checks)
 
 
 def _suite_cor4_8(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     total = 1 + rng.randint(n)
-    mults = _split_mults(rng, total)
-    u = _unitary(rng, n)
-    d = np.zeros(n, dtype=np.complex128)
-    omega = complex(-0.5, np.sqrt(3.0) / 2.0)
-    d[: mults[0]] = 1.0
-    d[mults[0] : mults[0] + mults[1]] = omega
-    d[mults[0] + mults[1] : total] = omega**2
-    a = (u * d) @ adj(u)
+    a, u = gp(rng, n, _split_mults(rng, total))
     p = a @ adj(a)
-    sub = _unitary(rng, total)
-    j = rng.randint(total + 1)
-    cols = u[:, :total] @ sub[:, :j]
-    b = cols @ adj(cols)
+    b = _sub_projector(rng, u, total, 0)
     _, rep = idempotent_split(p, b, tol)
-    checks = [
+    return (
         check_le("aastar_idempotent", idempotent_defect(p), tol.res_rtol),
         check_flag("pos_verdict", rep.verdict),
-    ]
-    vvec = rng.complex_gaussian(n, 1)[:, 0]
-    vvec = vvec / np.linalg.norm(vvec)
-    b_bad = b + 0.1 * np.outer(vvec, vvec.conj())
-    _, rep_neg = idempotent_split(p, b_bad, tol)
-    cert_names = ("b_idempotent", "x_idempotent", "bstar_x", "x_bstar")
-    n1, n2 = star_residuals(b_bad, p)
-    checks.append(check_flag("neg_agree", rep_neg.passed("star_matches_certificates")))
-    checks.append(
-        check_ge("neg_cert", max(rep_neg.residual(c) for c in cert_names), NEG_FLOOR, tol.res_rtol)
+        *_split_negatives(rng, p, b, tol),
     )
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
-    return tuple(checks)
 
 
 def _suite_prop4_9(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     total = 1 + rng.randint(n)
-    mults = _split_mults(rng, total)
-    u = _unitary(rng, n)
-    d = np.zeros(n, dtype=np.complex128)
-    omega = complex(-0.5, np.sqrt(3.0) / 2.0)
-    d[: mults[0]] = 1.0
-    d[mults[0] : mults[0] + mults[1]] = omega
-    d[mults[0] + mults[1] : total] = omega**2
-    c = (u * d) @ adj(u)
-    sub = _unitary(rng, total)
-    j = 1 + rng.randint(total)
-    cols = u[:, :total] @ sub[:, :j]
-    b = cols @ adj(cols)
+    c, u = gp(rng, n, _split_mults(rng, total))
+    b = _sub_projector(rng, u, total, 1)
     eye = np.eye(n, dtype=np.complex128)
     ib = eye - b
     a = b + ib @ rng.complex_gaussian(n, n) @ ib
@@ -703,7 +633,6 @@ def _suite_prop4_9(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
     checks = [check_flag("pos_verdict", rep.verdict)]
     b_bad = 0.5 * b
     rep_neg = common_lower_bound(a, c, b_bad, tol)
-    n1, n2 = star_residuals(b_bad, a)
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     checks.append(
         check_flag(
@@ -712,14 +641,14 @@ def _suite_prop4_9(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...
         )
     )
     checks.append(check_ge("neg_idempotent", rep_neg.residual("b_idempotent"), NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", max(n1, n2), NEG_FLOOR, tol.res_rtol))
+    checks.append(check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol))
     return tuple(checks)
 
 
 def _suite_inverse_along(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     ap = pinv(a, tol)
     astar = adj(a)
     return (
@@ -732,7 +661,7 @@ def _suite_inverse_along(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Chec
 def _suite_oracle_agreement(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[Check, ...]:
     rng = SplitMix64(seed)
     r = rng.randint(n + 1)
-    a = _rank_r(rng, n, n, r)
+    a = rank_r(rng, n, n, r)
     ap = pinv(a, tol)
     b_structured = (a @ ap) @ rng.complex_gaussian(n, n) @ (ap @ a)
     b_raw = rng.complex_gaussian(n, n)
@@ -748,61 +677,37 @@ def _suite_oracle_agreement(trial: int, n: int, seed: Seed, tol: Tol) -> tuple[C
     return tuple(checks)
 
 
+# name -> (suite body, claim description); SUITE_NAMES keeps this order
 _SUITES = {
-    "penrose": _suite_penrose,
-    "douglas": _suite_douglas,
-    "lem2.2": _suite_lem2_2,
-    "thm2.3": _suite_thm2_3,
-    "prop2.4": _suite_prop2_4,
-    "prop3.3": _suite_prop3_3,
-    "prop3.4": _suite_prop3_4,
-    "rem3.5": _suite_rem3_5,
-    "thm3.6": _suite_thm3_6,
-    "lem3.7": _suite_lem3_7,
-    "thm3.8": _suite_thm3_8,
-    "thm3.9": _suite_thm3_9,
-    "thm3.11": _suite_thm3_11,
-    "prop4.1": _suite_prop4_1,
-    "prop4.2": _suite_prop4_2,
-    "thm4.3": _suite_thm4_3,
-    "lem4.4": _suite_lem4_4,
-    "thm4.5": _suite_thm4_5,
-    "thm4.6": _suite_thm4_6,
-    "lem4.7": _suite_lem4_7,
-    "cor4.8": _suite_cor4_8,
-    "prop4.9": _suite_prop4_9,
-    "inverse-along": _suite_inverse_along,
-    "oracle-agreement": _suite_oracle_agreement,
+    "penrose": (_suite_penrose, "defining pseudoinverse identities and adjoint compatibility"),
+    "douglas": (_suite_douglas, "range criterion and affine family for a X = c"),
+    "lem2.2": (_suite_lem2_2, "doubly included operators vanish on both null blocks"),
+    "thm2.3": (_suite_thm2_3, "system solvability criterion vs. independent oracle"),
+    "prop2.4": (_suite_prop2_4, "equivalent condition bundles for inner-inverse systems"),
+    "prop3.3": (_suite_prop3_3, "pseudoinverses of either operand solve the system"),
+    "prop3.4": (_suite_prop3_4, "order-plus-solution hypotheses collapse to equality"),
+    "rem3.5": (_suite_rem3_5, "conclusions hold yet the order fails for (a+, a*, a)"),
+    "thm3.6": (_suite_thm3_6, "solving the system is equivalent to star domination"),
+    "lem3.7": (_suite_lem3_7, "criterion and affine family for a X b = c"),
+    "thm3.8": (_suite_thm3_8, "eight-term closed-form family solves the system"),
+    "thm3.9": (_suite_thm3_9, "compression to and from the reduced two-equation system"),
+    "thm3.11": (_suite_thm3_11, "hermitian solutions under hermitian compatibility"),
+    "prop4.1": (_suite_prop4_1, "one-sided projector compression vs. gram commutation"),
+    "prop4.2": (_suite_prop4_2, "two-sided projector compression vs. paired commutation"),
+    "thm4.3": (_suite_thm4_3, "idempotent lower bounds via sandwich reconstruction"),
+    "lem4.4": (_suite_lem4_4, "generalized projections: cube is the range projector"),
+    "thm4.5": (_suite_thm4_5, "generalized-projection lower bounds via sandwich witness"),
+    "thm4.6": (_suite_thm4_6, "gram splits into annihilating idempotents below the meet"),
+    "lem4.7": (_suite_lem4_7, "idempotent splits characterize star lower bounds"),
+    "cor4.8": (_suite_cor4_8, "gram of a generalized projection splits the same way"),
+    "prop4.9": (_suite_prop4_9, "common lower bounds of an operator and a gram"),
+    "inverse-along": (_suite_inverse_along, "pseudoinverse identities behind inverses along operators"),
+    "oracle-agreement": (_suite_oracle_agreement, "direct criterion and least-squares oracle always agree"),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
-SUITE_DESCRIPTIONS = {
-    "penrose": "defining pseudoinverse identities and adjoint compatibility",
-    "douglas": "range criterion and affine family for a X = c",
-    "lem2.2": "doubly included operators vanish on both null blocks",
-    "thm2.3": "system solvability criterion vs. independent oracle",
-    "prop2.4": "equivalent condition bundles for inner-inverse systems",
-    "prop3.3": "pseudoinverses of either operand solve the system",
-    "prop3.4": "order-plus-solution hypotheses collapse to equality",
-    "rem3.5": "conclusions hold yet the order fails for (a+, a*, a)",
-    "thm3.6": "solving the system is equivalent to star domination",
-    "lem3.7": "criterion and affine family for a X b = c",
-    "thm3.8": "eight-term closed-form family solves the system",
-    "thm3.9": "compression to and from the reduced two-equation system",
-    "thm3.11": "hermitian solutions under hermitian compatibility",
-    "prop4.1": "one-sided projector compression vs. gram commutation",
-    "prop4.2": "two-sided projector compression vs. paired commutation",
-    "thm4.3": "idempotent lower bounds via sandwich reconstruction",
-    "lem4.4": "generalized projections: cube is the range projector",
-    "thm4.5": "generalized-projection lower bounds via sandwich witness",
-    "thm4.6": "gram splits into annihilating idempotents below the meet",
-    "lem4.7": "idempotent splits characterize star lower bounds",
-    "cor4.8": "gram of a generalized projection splits the same way",
-    "prop4.9": "common lower bounds of an operator and a gram",
-    "inverse-along": "pseudoinverse identities behind inverses along operators",
-    "oracle-agreement": "direct criterion and least-squares oracle always agree",
-}
+SUITE_DESCRIPTIONS = {name: description for name, (_, description) in _SUITES.items()}
 
 
 def run_suite(
@@ -815,7 +720,7 @@ def run_suite(
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     if not 2 <= dims <= 8:
         raise PreconditionError(f"dims must be between 2 and 8, got {dims}")
-    body = _SUITES[name]
+    body = _SUITES[name][0]
     reports = []
     for trial in range(trials):
         seed = Seed(root_seed, trial)

@@ -6,11 +6,14 @@ precision) and deterministic: each criterion pins its trial count, dimension,
 and root seed.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import staralg
 from staralg import run_suite, to_line
 from staralg.cli import dispatch, parse_matrix, write_matrix
 
@@ -72,8 +75,10 @@ def test_criterion_09_report_stream_is_byte_stable(tmp_path):
         sys.executable, "-m", "staralg", "verify",
         "--suite", "all", "--trials", "50", "--dims", "6", "--seed", "1",
     ]
-    first = subprocess.run(cmd, capture_output=True, cwd=tmp_path)
-    second = subprocess.run(cmd, capture_output=True, cwd=tmp_path)
+    # the child imports the same package from any working directory
+    env = {**os.environ, "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent)}
+    first = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
+    second = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

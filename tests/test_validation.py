@@ -1,0 +1,62 @@
+"""Validation contract: public entry points reject malformed input with
+PreconditionError, and extreme magnitudes never leak a NaN residual."""
+
+import numpy as np
+import pytest
+
+from staralg import (
+    PreconditionError,
+    Seed,
+    StaralgError,
+    gen_star_pair,
+    lsq_oracle,
+    pinv,
+    rel_residual,
+    star_residuals,
+    svd,
+    system_general,
+)
+
+GOOD = np.eye(3, dtype=np.complex128)
+ZERO = np.zeros((3, 3), dtype=np.complex128)
+
+BAD = {
+    "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.complex128),
+    "inf": np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]], dtype=np.complex128),
+    "one_d": np.ones(3, dtype=np.complex128),
+    "empty": np.zeros((0, 3), dtype=np.complex128),
+}
+
+CALLS = {
+    "pinv": lambda m: pinv(m),
+    "svd": lambda m: svd(m),
+    "rel_residual_e": lambda m: rel_residual(m, GOOD),
+    "rel_residual_scale": lambda m: rel_residual(GOOD, m),
+    "star_residuals_a": lambda m: star_residuals(m, GOOD),
+    "star_residuals_b": lambda m: star_residuals(GOOD, m),
+    "system_general_a": lambda m: system_general(m, GOOD, ZERO, ZERO),
+    "system_general_b": lambda m: system_general(GOOD, m, ZERO, ZERO),
+    "lsq_oracle_a": lambda m: lsq_oracle(m, GOOD),
+    "lsq_oracle_b": lambda m: lsq_oracle(GOOD, m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD))
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_public_entry_points_reject_malformed_input(call, kind):
+    with pytest.raises(PreconditionError):
+        CALLS[call](BAD[kind])
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_rel_residual_rejects_non_finite_lists(kind):
+    with pytest.raises(PreconditionError):
+        rel_residual(BAD[kind].tolist(), GOOD.tolist())
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_star_residuals_at_extreme_scale_raises_instead_of_nan(swap):
+    big, small = gen_star_pair(6, 2, 2, Seed(5))
+    a, b = (big, small) if swap else (small, big)
+    with pytest.raises(StaralgError), np.errstate(over="ignore", invalid="ignore"):
+        star_residuals(1e160 * a, 1e160 * b)
