@@ -41,6 +41,9 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["parse_matrix", "format_matrix", "write_matrix", "dispatch", "main"]
 
 _TOKEN = re.compile(r"^\(([^\s(),]+),([^\s(),]+)\)$")
+_ROW_TOKEN = r"\([^\s(),]+,[^\s(),]+\)"
+_ROW = re.compile(rf"\s*{_ROW_TOKEN}(?:\s+{_ROW_TOKEN})*\s*")
+_UNWRAP = str.maketrans("(),", "   ")
 
 
 def _parse_token(token: str, line_no: int, column: int) -> complex:
@@ -63,11 +66,36 @@ def _parse_token(token: str, line_no: int, column: int) -> complex:
     return complex(re_part, im_part)
 
 
+def _parse_row(line: str, line_no: int, row: np.ndarray) -> None:
+    """Token-by-token parse of one row line into ``row``; the only place that
+    reports a malformed entry, with its 1-based line and column."""
+    tokens = list(re.finditer(r"\S+", line))
+    if len(tokens) != row.size:
+        raise MatrixFormatError(
+            f"expected {row.size} entries, found {len(tokens)}",
+            line=line_no,
+            column=tokens[-1].start() + 1 if tokens else 1,
+        )
+    for j, tok in enumerate(tokens):
+        row[j] = _parse_token(tok.group(0), line_no, tok.start() + 1)
+
+
+def _raise_first_non_finite(out: np.ndarray, body: list[str], stop: int) -> None:
+    """Re-parse the first of rows ``[0, stop)`` holding a non-finite entry,
+    which raises for that entry; does nothing when all are finite."""
+    bad = np.flatnonzero(~np.isfinite(out[:stop]).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        _parse_row(body[k], k + 2, out[k])
+
+
 def parse_matrix(source) -> np.ndarray:
     """Read a matrix from a path or a text stream.
 
     Raises MatrixFormatError with 1-based line and column positions on any
-    deviation from the format.
+    deviation from the format.  Each row line that matches the token grammar
+    is converted in one pass; any other line is re-parsed token by token so
+    that the first bad entry in reading order is the one reported.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -97,29 +125,32 @@ def parse_matrix(source) -> np.ndarray:
         body.pop()
     if len(body) != rows:
         raise MatrixFormatError(
-            f"expected {rows} row lines, found {len(body)}", line=len(body) + 2, column=1
+            f"expected {rows} row lines, found {len(body)}",
+            line=min(len(body), rows) + 2,
+            column=1,
         )
     out = np.empty((rows, cols), dtype=np.complex128)
+    parts = out.view(np.float64)  # row i holds re, im, re, im, ... of out[i]
     for i, line in enumerate(body):
-        line_no = i + 2
-        tokens = list(re.finditer(r"\S+", line))
-        if len(tokens) != cols:
-            raise MatrixFormatError(
-                f"expected {cols} entries, found {len(tokens)}",
-                line=line_no,
-                column=tokens[-1].start() + 1 if tokens else 1,
-            )
-        for j, tok in enumerate(tokens):
-            out[i, j] = _parse_token(tok.group(0), line_no, tok.start() + 1)
+        if _ROW.fullmatch(line) and line.count("(") == cols:
+            try:
+                parts[i] = [*map(float, line.translate(_UNWRAP).split())]
+                continue
+            except ValueError:
+                pass
+        _raise_first_non_finite(out, body, i)
+        _parse_row(line, i + 2, out[i])
+    _raise_first_non_finite(out, body, rows)
     return out
 
 
 def format_matrix(m) -> str:
     """Serialize a matrix; floats carry 17 significant digits for round-trips."""
     mat = as_cmat(m)
+    entry = "({:.17g},{:.17g})".format
     lines = [f"{mat.shape[0]} {mat.shape[1]}"]
     for row in mat:
-        lines.append(" ".join(f"({z.real:.17g},{z.imag:.17g})" for z in row))
+        lines.append(" ".join(map(entry, row.real.tolist(), row.imag.tolist())))
     return "\n".join(lines) + "\n"
 
 

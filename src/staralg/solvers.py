@@ -167,12 +167,16 @@ def system_particular(
 def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """The closed-form solution family of b X a = b = a X b, evaluated at (s, t).
 
-    The eight-term expression is evaluated term by term rather than
-    algebraically simplified, so transcription stays auditable.  The two
-    terms compressing b onto the cokernel of a, ``(I - a a+) b``, vanish
-    identically under the order hypothesis (a a+ b = b); they are retained
-    so the expression reads as derived.  When a == b the difference
-    pseudoinverse is the zero matrix and the formula degrades gracefully.
+    With d = a - b, the family is
+
+        X(s, t) = b+ + d+ d s d+ + t - (a+ a) t (a a+).
+
+    This is the paper's eight-term expression collapsed by identities that
+    hold under the order hypothesis b <=* a, i.e. b* d = 0 and b d* = 0:
+    a+ b = b+ b; d+ = a+ - b+ (pseudoinverse additivity for star-orthogonal
+    summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
+    projectors of b and d sum to a a+.  Only a and b are factored.  When
+    a == b, d+ is exactly zero and X(s, t) = a+ + t - (a+ a) t (a a+).
     """
     am = as_cmat(a)
     bm = as_cmat(b)
@@ -187,24 +191,8 @@ def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
     ap = pinv(am, tol)
     bp = pinv(bm, tol)
-    d = am - bm
-    # a - b can be rounding noise when a and b nearly coincide
-    dp = pinv(d, tol, scale=float(max(np.linalg.norm(am), np.linalg.norm(bm))))
-    eye = np.eye(n, dtype=np.complex128)
-    p_ra = am @ ap        # projector onto range(a)
-    p_cra = ap @ am       # projector onto range(a*)
-    p_rb = bm @ bp        # projector onto range(b)
-
-    return (
-        ap @ bm @ bp
-        + ap @ ((eye - p_ra) @ bm + d @ sm) @ dp
-        + tm
-        - p_cra @ tm @ d @ dp
-        - ap @ (eye - p_ra) @ bm @ dp @ p_rb
-        - ap @ d @ sm @ dp @ p_rb
-        - p_cra @ tm @ p_rb
-        + p_cra @ tm @ d @ dp @ p_rb
-    )
+    dp = ap - bp
+    return bp + (dp @ (am - bm)) @ sm @ dp + tm - (ap @ am) @ tm @ (am @ ap)
 
 
 def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:

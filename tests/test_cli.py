@@ -1,12 +1,18 @@
 """Matrix file format and command dispatch tests (in-process)."""
 
+import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import staralg
 from staralg import MatrixFormatError, pinv
 from staralg.cli import dispatch, format_matrix, parse_matrix, write_matrix
 
@@ -64,6 +70,9 @@ def test_round_trip_via_files(tmp_path):
         ("1 1\n(a,b)", 2, 1),
         ("1 1\n(nan,0)", 2, 1),
         ("2 1\n(1,0)", 3, 1),
+        ("3 1\n(1,0)", 3, 1),
+        ("1 1\n(1,0)\n(2,0)\n(3,0)", 3, 1),
+        ("2 1\n(1,0)\n\n(2,0)", 4, 1),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -71,6 +80,107 @@ def test_parse_errors_carry_position(text, line, column):
         parse_matrix(io.StringIO(text))
     assert excinfo.value.line == line
     assert excinfo.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 1\n(1,0)(2,0)", "bad entry '(1,0)(2,0)', expected '(re,im)' (line 2, column 1)"),
+        ("1 2\n(1,0)(2,0)", "expected 2 entries, found 1 (line 2, column 1)"),
+        ("1 1\n((1,0)", "bad entry '((1,0)', expected '(re,im)' (line 2, column 1)"),
+        ("1 1\n(1,0))", "bad entry '(1,0))', expected '(re,im)' (line 2, column 1)"),
+        ("1 1\n(1,,0)", "bad entry '(1,,0)', expected '(re,im)' (line 2, column 1)"),
+        ("1 1\n(1,\xa00)", "expected 1 entries, found 2 (line 2, column 5)"),
+        ("1 1\n(1,\t0)", "expected 1 entries, found 2 (line 2, column 5)"),
+        ("1 1\n( 1,0)", "expected 1 entries, found 2 (line 2, column 3)"),
+        ("1 1\n(1e999,0)", "non-finite entry '(1e999,0)' (line 2, column 1)"),
+        ("1 1\n(inf,0)", "non-finite entry '(inf,0)' (line 2, column 1)"),
+        ("1 1\n(0,-inf)", "non-finite entry '(0,-inf)' (line 2, column 1)"),
+        ("1 3\n(1,0) (2,0) (x,0)", "unparsable float in entry '(x,0)' (line 2, column 13)"),
+        ("1 3\n(1,0) (2,0) (3,0", "bad entry '(3,0', expected '(re,im)' (line 2, column 13)"),
+        ("1 2\n(1,0) (2,0) (3,0)", "expected 2 entries, found 3 (line 2, column 13)"),
+        ("2 1\r\n(1,0)\r\n(a,0)\r\n\r\n", "unparsable float in entry '(a,0)' (line 3, column 1)"),
+        ("2 2\n(1,0) (nan,0)\n(1,0) (2,0) \n\n  \n", "non-finite entry '(nan,0)' (line 2, column 7)"),
+        # the first bad entry in reading order wins, whatever its kind
+        ("3 1\n(1,0)\n(nan,0)\n(x,0)", "non-finite entry '(nan,0)' (line 3, column 1)"),
+        ("3 1\n(1,0)\n(x,0)\n(nan,0)", "unparsable float in entry '(x,0)' (line 3, column 1)"),
+        ("3 1\n(1e999,0)\n(1,0)\n(2,0)", "non-finite entry '(1e999,0)' (line 2, column 1)"),
+    ],
+)
+def test_malformed_rows_report_message_and_position(text, message):
+    with pytest.raises(MatrixFormatError) as excinfo:
+        parse_matrix(io.StringIO(text))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("1 1\n(1_0,0)", [[10]]),  # float() grammar: digit separators
+        ("1 2\n(1,0)\xa0(2,0)", [[1, 2]]),
+        ("1 2\n\t(1,0)\t(2,-0)\t", [[1, 2]]),
+        ("2 1\r\n(1,0)\r\n(0,2)\r\n\r\n\n", [[1], [2j]]),
+        ("1 1\n(+1E2,-.5)", [[100 - 0.5j]]),
+    ],
+)
+def test_parse_accepts_float_grammar_and_any_whitespace(text, expected):
+    m = parse_matrix(io.StringIO(text))
+    assert m.dtype == np.complex128
+    assert np.array_equal(m, np.array(expected, dtype=complex))
+
+
+edge = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.tuples(finite | edge, finite | edge), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_format_matches_per_entry_reference(rows):
+    m = np.array([[complex(re, im) for re, im in row] for row in rows])
+    reference = f"{m.shape[0]} {m.shape[1]}\n" + "".join(
+        " ".join(f"({z.real:.17g},{z.imag:.17g})" for z in row) + "\n" for row in m
+    )
+    assert format_matrix(m) == reference
+    assert parse_matrix(io.StringIO(reference)).tobytes() == m.tobytes()
+
+
+def test_written_files_are_byte_stable(tmp_path):
+    """Pins the bytes ``gen`` and ``pinv`` write for one n = 64 pair, so any
+    change of the text codec that alters a written digit fails here.
+
+    Both commands run BLAS products, whose last bits depend on the CPU
+    kernel, so the child runs with one thread and OpenBLAS's baseline x86-64
+    kernel (Prescott).
+    """
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    cli = [sys.executable, "-m", "staralg"]
+    for argv in (
+        ["gen", "star-pair", "--n", "64", "--rank", "20", "--extra", "20", "--seed", "3",
+         "--out-a", "a.mat", "--out-b", "b.mat"],
+        ["pinv", "--in", "a.mat", "--out", "pinv_a.mat"],
+    ):
+        subprocess.run(cli + argv, cwd=tmp_path, env=env, check=True)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("a.mat", "b.mat", "pinv_a.mat")
+    }
+    assert digests == {
+        "a.mat": "5c089ada08512dcffd0eb57607f9e3ae4588f4cc522617fa816833295f4853c3",
+        "b.mat": "a51fee5445db4588b0fb0b8742353b7e33b50e698c12b5422fda6814f4a494d4",
+        "pinv_a.mat": "41e364376d311163d60aa526676b5f81853062f260132116363ca33a0f4a5248",
+    }
 
 
 # --- commands ------------------------------------------------------------

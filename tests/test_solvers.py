@@ -190,26 +190,61 @@ def test_system_general_seeded_pair_particular():
     assert rel_residual(big @ x @ small - small, small) <= 1e-9
 
 
-def test_system_general_soundness_random_parameters():
-    rng = SplitMix64(Seed(70))
+def _eight_term_reference(a, b, s, t):
+    """The paper's eight-term family, term by term, with (a - b)+ from its own SVD."""
+    n = a.shape[0]
+    ap, bp = pinv(a), pinv(b)
+    d = a - b
+    dp = pinv(d, scale=float(max(np.linalg.norm(a), np.linalg.norm(b))))
+    eye = np.eye(n, dtype=complex)
+    p_ra, p_cra, p_rb = a @ ap, ap @ a, b @ bp
+    return (
+        ap @ b @ bp
+        + ap @ ((eye - p_ra) @ b + d @ s) @ dp
+        + t
+        - p_cra @ t @ d @ dp
+        - ap @ (eye - p_ra) @ b @ dp @ p_rb
+        - ap @ d @ s @ dp @ p_rb
+        - p_cra @ t @ p_rb
+        + p_cra @ t @ d @ dp @ p_rb
+    )
+
+
+def _seeded_pairs():
     for i in range(50):
         n = 3 + i % 4
         r = 1 + i % (n - 1)
         k = (i // 3) % (n - r + 1)
-        big, small = gen_star_pair(n, r, k, Seed(9000 + i))
+        yield gen_star_pair(n, r, k, Seed(9000 + i))
+
+
+def test_system_general_soundness_random_parameters():
+    rng = SplitMix64(Seed(70))
+    for big, small in _seeded_pairs():
+        n = big.shape[0]
         for _ in range(3):
             x = system_general(big, small, rng.complex_gaussian(n, n), rng.complex_gaussian(n, n))
             assert rel_residual(small @ x @ big - small, small) <= RES
             assert rel_residual(big @ x @ small - small, small) <= RES
 
 
+def test_system_general_matches_eight_term_reference():
+    rng = SplitMix64(Seed(82))
+    cases = list(_seeded_pairs())
+    a = gen_rank_r(5, 5, 3, Seed(66))
+    cases += [(a, a), (a, zeros(5))]
+    for big, small in cases:
+        n = big.shape[0]
+        s, t = rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
+        gap = np.linalg.norm(system_general(big, small, s, t) - _eight_term_reference(big, small, s, t))
+        assert gap <= 1e-12 * max(1.0, float(np.linalg.norm(big)))
+
+
 def test_system_general_requires_order():
-    rng = SplitMix64(Seed(71))
     with pytest.raises(PreconditionError):
         system_general(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), zeros(2), zeros(2))
     with pytest.raises(PreconditionError):
         system_general(np.eye(2), np.eye(2), np.ones((3, 3)), zeros(2))
-    del rng
 
 
 def test_system_general_family_is_complete_at_small_dims():
