@@ -53,6 +53,7 @@ from .solvers import (
     sandwich_solve,
     solves_system,
     system_criterion_residual,
+    system_family,
     system_general,
     system_hermitian,
     system_particular,
@@ -119,6 +120,7 @@ __all__ = [
     "system_criterion_residual",
     "system_solvable",
     "system_particular",
+    "system_family",
     "system_general",
     "solves_system",
     "reduce_system",

@@ -7,6 +7,7 @@ never raise, they report.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "system_criterion_residual",
     "system_solvable",
     "system_particular",
+    "system_family",
     "system_general",
     "solves_system",
     "reduce_system",
@@ -164,8 +166,8 @@ def system_particular(
     raise PreconditionError(f"which must be 'pinv_a' or 'pinv_b', got {which!r}")
 
 
-def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """The closed-form solution family of b X a = b = a X b, evaluated at (s, t).
+def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+    """The closed-form solution family of b X a = b = a X b, in parameters (s, t).
 
     With d = a - b, the family is
 
@@ -177,7 +179,33 @@ def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
     projectors of b and d sum to a a+.  Only a and b are factored.  When
     a == b, d+ is exactly zero and X(s, t) = a+ + t - (a+ a) t (a a+).
+
+    The particular solution X(0, 0) = b+ costs one SVD; a is factored on the
+    first ``instantiate`` only, once even when threads race to it.
     """
+    am = as_cmat(a)
+    bm = as_cmat(b)
+    n = require_square_pair(am, bm)
+    require_star_leq(bm, am, tol, "system_family requires b <=* a")
+    bp = pinv(bm, tol)
+    lock = threading.Lock()
+    memo: list[np.ndarray] = []
+
+    def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        with lock:
+            if not memo:
+                ap = pinv(am, tol)
+                dp = ap - bp
+                memo.extend((dp @ (am - bm), dp, ap @ am, am @ ap))
+        dpd, dp, left, right = memo
+        return bp + dpd @ s @ dp + t - left @ t @ right
+
+    return SolutionFamily(bp, ((n, n), (n, n)), apply)
+
+
+def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """``system_family(a, b, tol)`` evaluated at (s, t); a parameter of the
+    wrong shape is reported before an order violation."""
     am = as_cmat(a)
     bm = as_cmat(b)
     n = require_square_pair(am, bm)
@@ -187,12 +215,7 @@ def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         raise PreconditionError(
             f"parameters must be {n}x{n}, got {sm.shape} and {tm.shape}"
         )
-    require_star_leq(bm, am, tol, "system_general requires b <=* a")
-
-    ap = pinv(am, tol)
-    bp = pinv(bm, tol)
-    dp = ap - bp
-    return bp + (dp @ (am - bm)) @ sm @ dp + tm - (ap @ am) @ tm @ (am @ ap)
+    return system_family(am, bm, tol).instantiate([sm, tm])
 
 
 def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:

@@ -47,7 +47,7 @@ def star_leq(a, b, tol: Tol = DEFAULT_TOL) -> bool:
 
 def require_star_leq(a: np.ndarray, b: np.ndarray, tol: Tol, what: str) -> None:
     """Raise NotComparableError unless a <=* b; ``what`` names the operation
-    and the relation it requires, e.g. "system_general requires b <=* a"."""
+    and the relation it requires, e.g. "system_family requires b <=* a"."""
     r1, r2 = star_residuals(a, b)
     if r1 > tol.res_rtol or r2 > tol.res_rtol:
         raise NotComparableError(f"{what}; residuals {r1:.3e}, {r2:.3e}", residuals=(r1, r2))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg
-from staralg import MatrixFormatError, pinv
+from staralg import MatrixFormatError, Seed, SplitMix64, gen_star_pair, pinv, system_general
 from staralg.cli import dispatch, format_matrix, parse_matrix, write_matrix
 
 
@@ -132,7 +132,16 @@ def test_parse_accepts_float_grammar_and_any_whitespace(text, expected):
 edge = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
 
 
-@settings(max_examples=60, deadline=None)
+LAYOUTS = {
+    "as-built": lambda m: m,
+    "transposed": lambda m: m.T,
+    "fortran-order": np.asfortranarray,
+    "every-other-column": lambda m: m[:, ::2],
+    "last-column": lambda m: m[:, -1:],
+}
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
         lambda cols: st.lists(
@@ -140,20 +149,22 @@ edge = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.797693134
             min_size=1,
             max_size=5,
         )
-    )
+    ),
+    st.sampled_from(sorted(LAYOUTS)),
 )
-def test_format_matches_per_entry_reference(rows):
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
+def test_format_matches_per_entry_reference(rows, layout):
+    m = LAYOUTS[layout](np.array([[complex(re, im) for re, im in row] for row in rows]))
     reference = f"{m.shape[0]} {m.shape[1]}\n" + "".join(
         " ".join(f"({z.real:.17g},{z.imag:.17g})" for z in row) + "\n" for row in m
     )
     assert format_matrix(m) == reference
-    assert parse_matrix(io.StringIO(reference)).tobytes() == m.tobytes()
+    assert parse_matrix(io.StringIO(reference)).tobytes() == np.ascontiguousarray(m).tobytes()
 
 
 def test_written_files_are_byte_stable(tmp_path):
-    """Pins the bytes ``gen`` and ``pinv`` write for one n = 64 pair, so any
-    change of the text codec that alters a written digit fails here.
+    """Pins the bytes ``gen``, ``pinv`` and ``solve system`` write for one
+    n = 64 pair, so any change of the text codec or of the solution that
+    alters a written digit fails here.
 
     Both commands run BLAS products, whose last bits depend on the CPU
     kernel, so the child runs with one thread and OpenBLAS's baseline x86-64
@@ -170,16 +181,18 @@ def test_written_files_are_byte_stable(tmp_path):
         ["gen", "star-pair", "--n", "64", "--rank", "20", "--extra", "20", "--seed", "3",
          "--out-a", "a.mat", "--out-b", "b.mat"],
         ["pinv", "--in", "a.mat", "--out", "pinv_a.mat"],
+        ["solve", "system", "--a", "a.mat", "--b", "b.mat", "--out", "x.mat"],
     ):
         subprocess.run(cli + argv, cwd=tmp_path, env=env, check=True)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("a.mat", "b.mat", "pinv_a.mat")
+        for name in ("a.mat", "b.mat", "pinv_a.mat", "x.mat")
     }
     assert digests == {
         "a.mat": "5c089ada08512dcffd0eb57607f9e3ae4588f4cc522617fa816833295f4853c3",
         "b.mat": "a51fee5445db4588b0fb0b8742353b7e33b50e698c12b5422fda6814f4a494d4",
         "pinv_a.mat": "41e364376d311163d60aa526676b5f81853062f260132116363ca33a0f4a5248",
+        "x.mat": "770b7e91ec670005e1b9de9b9aff7beae7282c66d10f0342b1284739e4e46dbc",
     }
 
 
@@ -247,6 +260,57 @@ def test_solve_system_pipeline(tmp_path):
     assert np.allclose(am @ xm @ bm, bm, atol=1e-9)
     write_matrix(axa, am @ xm @ am)
     assert run("check", "star-order", "--a", str(axa), "--b", str(b)) == 0
+
+
+def test_solve_system_default_is_the_zero_parameter_solution(tmp_path):
+    """Without --s/--t the written file is X(0, 0) byte for byte, including
+    the sign of zeros: -2I has a -0.0 in its pseudoinverse that X(0, 0) lacks."""
+    neg = -2.0 * np.eye(2)
+    assert np.signbit(pinv(neg).real).any()
+    pairs = [gen_star_pair(4, 2, 1, Seed(seed)) for seed in range(1, 21)] + [(neg, neg)]
+    a, b, x = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "x.mat"
+    for am, bm in pairs:
+        write_matrix(a, am)
+        write_matrix(b, bm)
+        assert run("solve", "system", "--a", str(a), "--b", str(b), "--out", str(x)) == 0
+        zero = np.zeros_like(am)
+        assert x.read_text() == format_matrix(system_general(am, bm, zero, zero))
+
+
+def test_solve_system_parameters(tmp_path, capsys):
+    am, bm = gen_star_pair(4, 2, 1, Seed(4))
+    rng = SplitMix64(Seed(5))
+    sm, tm = rng.complex_gaussian(4, 4), rng.complex_gaussian(4, 4)
+    zero = np.zeros((4, 4), dtype=complex)
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "s", "t", "s3", "x")}
+    for name, m in (("a", am), ("b", bm), ("s", sm), ("t", tm), ("s3", np.eye(3))):
+        write_matrix(paths[name], m)
+    base = ["solve", "system", "--a", str(paths["a"]), "--b", str(paths["b"]),
+            "--out", str(paths["x"])]
+    for extra, (s, t) in (
+        (["--s", str(paths["s"])], (sm, zero)),
+        (["--t", str(paths["t"])], (zero, tm)),
+        (["--s", str(paths["s"]), "--t", str(paths["t"])], (sm, tm)),
+    ):
+        assert run(*base, *extra) == 0
+        assert paths["x"].read_text() == format_matrix(system_general(am, bm, s, t))
+
+    for extra, message in (
+        (["--s", str(paths["s3"])], "parameters must be 4x4, got (3, 3) and (4, 4)"),
+        (["--t", str(paths["s3"])], "parameters must be 4x4, got (4, 4) and (3, 3)"),
+        (["--s", str(paths["s"]), "--t", str(paths["s3"])],
+         "parameters must be 4x4, got (4, 4) and (3, 3)"),
+    ):
+        assert run(*base, *extra) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # the shape error comes before the order error (a is not below b)
+    swapped = ["solve", "system", "--a", str(paths["b"]), "--b", str(paths["a"]),
+               "--out", str(paths["x"])]
+    assert run(*swapped) == 1
+    assert "requires b <=* a" in capsys.readouterr().err
+    assert run(*swapped, "--s", str(paths["s3"])) == 1
+    assert capsys.readouterr().err == "error: parameters must be 4x4, got (3, 3) and (4, 4)\n"
 
 
 def test_solve_unsolvable_exits_one(tmp_path, capsys):

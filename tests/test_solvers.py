@@ -1,5 +1,7 @@
 """Solution-family and system-solver tests, including the closed-form family."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from staralg import (
     sandwich_solve,
     solves_system,
     system_criterion_residual,
+    system_family,
     system_general,
     system_hermitian,
     system_particular,
@@ -270,6 +273,82 @@ def test_system_general_family_is_complete_at_small_dims():
         sv_fam = np.linalg.svd(span_real, compute_uv=False)
         family_dim = int(np.sum(sv_fam > 1e-9 * scale))
         assert family_dim == solset_dim
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_system_family_particular_is_pinv_b():
+    for big, small in _seeded_pairs():
+        fam = system_family(big, small)
+        assert fam.particular.tobytes() == pinv(small).tobytes()
+        assert fam.particular.tobytes() == system_particular(big, small, which="pinv_b").tobytes()
+
+
+def test_system_family_instantiate_matches_system_general():
+    rng = SplitMix64(Seed(83))
+    a = gen_rank_r(5, 5, 3, Seed(66))
+    for big, small in [*_seeded_pairs(), (a, a), (a, zeros(5))]:
+        n = big.shape[0]
+        fam = system_family(big, small)
+        for s, t in ((zeros(n), zeros(n)), (rng.complex_gaussian(n, n), rng.complex_gaussian(n, n))):
+            assert fam.instantiate([s, t]).tobytes() == system_general(big, small, s, t).tobytes()
+
+
+def test_system_family_factors_each_operand_once(monkeypatch):
+    big, small = gen_star_pair(6, 2, 2, Seed(84))
+    rng = SplitMix64(Seed(85))
+    draws = [(rng.complex_gaussian(6, 6), rng.complex_gaussian(6, 6)) for _ in range(6)]
+    calls = _count_svds(monkeypatch)
+    fam = system_family(big, small)
+    assert len(calls) == 1
+    for s, t in draws:
+        fam.instantiate([s, t])
+    assert len(calls) == 2
+
+
+def test_system_family_first_instantiate_is_thread_safe(monkeypatch):
+    big, small = gen_star_pair(48, 16, 16, Seed(86))
+    rng = SplitMix64(Seed(87))
+    s, t = rng.complex_gaussian(48, 48), rng.complex_gaussian(48, 48)
+    calls = _count_svds(monkeypatch)
+    fam = system_family(big, small)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def work(k):
+        start.wait()
+        results[k] = fam.instantiate([s, t])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert len(calls) == 2
+    assert results[0].tobytes() == results[1].tobytes()
+    assert results[0].tobytes() == system_general(big, small, s, t).tobytes()
+
+
+def test_system_family_rejects_bad_parameters():
+    fam = system_family(*gen_star_pair(3, 1, 1, Seed(88)))
+    with pytest.raises(PreconditionError):
+        fam.instantiate([zeros(3)])
+    with pytest.raises(PreconditionError):
+        fam.instantiate([zeros(3), zeros(3), zeros(3)])
+    with pytest.raises(PreconditionError):
+        fam.instantiate([zeros(3), np.ones((3, 2))])
+    with pytest.raises(PreconditionError):
+        system_family(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
 
 
 # --- diagnostics -------------------------------------------------------------
