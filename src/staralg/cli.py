@@ -24,21 +24,15 @@ import numpy as np
 
 from . import __version__
 from .chars import gp_check
-from .errors import (
-    MatrixFormatError,
-    NumericError,
-    PreconditionError,
-    StaralgError,
-    UnsolvableError,
-)
+from .errors import MatrixFormatError, NumericError, StaralgError
 from .genlab import PRNG_NAME, Seed, gen_gp, gen_idempotent, gen_rank_r, gen_star_pair
 from .matcore import DEFAULT_TOL, Tol, as_cmat, pinv
 from .report import to_line
 from .solvers import (
     sandwich_solve,
-    system_family,
     system_general,
     system_hermitian,
+    system_particular,
     system_solvable,
 )
 from .starorder import star_residuals
@@ -86,22 +80,14 @@ def _parse_row(line: str, line_no: int, row: np.ndarray) -> None:
         row[j] = _parse_token(tok.group(0), line_no, tok.start() + 1)
 
 
-def _raise_first_non_finite(out: np.ndarray, body: list[str], stop: int) -> None:
-    """Re-parse the first of rows ``[0, stop)`` holding a non-finite entry,
-    which raises for that entry; does nothing when all are finite."""
-    bad = np.flatnonzero(~np.isfinite(out[:stop]).all(axis=1))
-    if bad.size:
-        k = int(bad[0])
-        _parse_row(body[k], k + 2, out[k])
-
-
 def parse_matrix(source) -> np.ndarray:
     """Read a matrix from a path or a text stream.
 
     Raises MatrixFormatError with 1-based line and column positions on any
     deviation from the format.  Each row line that matches the token grammar
-    is converted in one pass; any other line is re-parsed token by token so
-    that the first bad entry in reading order is the one reported.
+    and holds only finite values is converted in one pass; any other line is
+    re-parsed token by token, in order, so that the first bad entry in
+    reading order is the one reported.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -141,12 +127,12 @@ def parse_matrix(source) -> np.ndarray:
         if _ROW.fullmatch(line) and line.count("(") == cols:
             try:
                 parts[i] = [*map(float, line.translate(_UNWRAP).split())]
-                continue
             except ValueError:
                 pass
-        _raise_first_non_finite(out, body, i)
+            else:
+                if np.isfinite(parts[i]).all():
+                    continue
         _parse_row(line, i + 2, out[i])
-    _raise_first_non_finite(out, body, rows)
     return out
 
 
@@ -312,8 +298,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         a = parse_matrix(args.a)
         b = parse_matrix(args.b)
         if args.s is None and args.t is None:
-            # X(0, 0) bit for bit: adding the zero parameters turns a -0.0 of b+ into +0.0
-            x = system_family(a, b, tol).particular + 0.0
+            # X(0, 0) bit for bit: it adds zero terms to b+, which turn a -0.0 into +0.0
+            x = system_particular(a, b, tol, "pinv_b") + 0.0
         else:
             n = a.shape[0]
             s = _load_or_zeros(args.s, (n, n))
@@ -395,21 +381,12 @@ def dispatch(argv) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_verify(args)
-    except MatrixFormatError as exc:
+    except (StaralgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsolvableError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StaralgError as exc:  # any future domain error: treat as predicate failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (MatrixFormatError, OSError)):
+            return 2
+        # any other domain error, future ones included, is a predicate failure
+        return 3 if isinstance(exc, NumericError) else 1
 
 
 def main(argv=None) -> int:

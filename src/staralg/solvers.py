@@ -7,7 +7,6 @@ never raise, they report.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
@@ -177,27 +176,22 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     hold under the order hypothesis b <=* a, i.e. b* d = 0 and b d* = 0:
     a+ b = b+ b; d+ = a+ - b+ (pseudoinverse additivity for star-orthogonal
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
-    projectors of b and d sum to a a+.  Only a and b are factored.  When
-    a == b, d+ is exactly zero and X(s, t) = a+ + t - (a+ a) t (a a+).
-
-    The particular solution X(0, 0) = b+ costs one SVD; a is factored on the
-    first ``instantiate`` only, once even when threads race to it.
+    projectors of b and d sum to a a+.  Only a and b are factored, each once,
+    at construction.  When a == b, d+ is exactly zero and
+    X(s, t) = a+ + t - (a+ a) t (a a+).
     """
     am = as_cmat(a)
     bm = as_cmat(b)
     n = require_square_pair(am, bm)
     require_star_leq(bm, am, tol, "system_family requires b <=* a")
+    ap = pinv(am, tol)
     bp = pinv(bm, tol)
-    lock = threading.Lock()
-    memo: list[np.ndarray] = []
+    dp = ap - bp
+    dpd = dp @ (am - bm)
+    left = ap @ am
+    right = am @ ap
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        with lock:
-            if not memo:
-                ap = pinv(am, tol)
-                dp = ap - bp
-                memo.extend((dp @ (am - bm), dp, ap @ am, am @ ap))
-        dpd, dp, left, right = memo
         return bp + dpd @ s @ dp + t - left @ t @ right
 
     return SolutionFamily(bp, ((n, n), (n, n)), apply)

@@ -13,7 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg
-from staralg import MatrixFormatError, Seed, SplitMix64, gen_star_pair, pinv, system_general
+from staralg import (
+    MatrixFormatError,
+    NotComparableError,
+    NumericError,
+    PreconditionError,
+    Seed,
+    SplitMix64,
+    StaralgError,
+    UnsolvableError,
+    gen_star_pair,
+    pinv,
+    system_general,
+)
+from staralg import cli
 from staralg.cli import dispatch, format_matrix, parse_matrix, write_matrix
 
 
@@ -313,6 +326,28 @@ def test_solve_system_parameters(tmp_path, capsys):
     assert capsys.readouterr().err == "error: parameters must be 4x4, got (3, 3) and (4, 4)\n"
 
 
+def test_solve_system_factors_only_b_without_parameters(tmp_path, monkeypatch):
+    am, bm = gen_star_pair(6, 2, 2, Seed(9))
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "t", "x")}
+    for name, m in (("a", am), ("b", bm), ("t", np.eye(6))):
+        write_matrix(paths[name], m)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    base = ["solve", "system", "--a", str(paths["a"]), "--b", str(paths["b"]),
+            "--out", str(paths["x"])]
+    assert cli.main(base) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main([*base, "--t", str(paths["t"])]) == 0
+    assert len(calls) == 2
+
+
 def test_solve_unsolvable_exits_one(tmp_path, capsys):
     a = tmp_path / "a.mat"
     b = tmp_path / "b.mat"
@@ -415,6 +450,30 @@ def test_missing_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.mat"
     assert run("pinv", "--in", str(missing), "--out", str(tmp_path / "x.mat")) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (MatrixFormatError("boom"), 2),
+        (OSError("boom"), 2),
+        (PreconditionError("boom"), 1),
+        (NotComparableError("boom", (1.0, 1.0)), 1),
+        (UnsolvableError("boom"), 1),
+        (NumericError("boom"), 3),
+        (StaralgError("boom"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "pinv", fail)
+    a = tmp_path / "a.mat"
+    write_matrix(a, np.eye(2))
+    assert run("pinv", "--in", str(a), "--out", str(tmp_path / "x.mat")) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_version_mentions_prng(capsys):

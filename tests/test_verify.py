@@ -1,8 +1,15 @@
 """Oracle, suite-runner, and report-format tests."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import staralg
 from staralg import (
     DEFAULT_TOL,
     Check,
@@ -80,6 +87,28 @@ def test_suite_runs_are_deterministic():
     first = [to_line(r) for r in run_suite("thm3.8", 5, 6, 11)]
     second = [to_line(r) for r in run_suite("thm3.8", 5, 6, 11)]
     assert first == second
+
+
+def test_report_stream_digest_is_pinned(tmp_path):
+    """Pins the SHA-256 of the full ``verify --suite all`` report stream, so
+    a refactor that moves any reported digit or draw fails here.  A numeric
+    change re-pins it.  As for the written-file pins, the child runs with
+    one BLAS thread and OpenBLAS's baseline x86-64 kernel (Prescott)."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    cmd = [
+        sys.executable, "-m", "staralg", "verify",
+        "--suite", "all", "--trials", "50", "--dims", "6", "--seed", "1",
+    ]
+    done = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "5a2497854239e7aaa7b1046211489b5541c7dff1746072c9be63737964211532"
+    )
 
 
 def test_report_line_format():
