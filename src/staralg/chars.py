@@ -23,7 +23,7 @@ from .matcore import (
     pinv,
     rel_residual,
     require_projector,
-    require_square_pair,
+    square_pair,
 )
 from .report import Report, check_flag, check_le
 from .solvers import SolutionFamily, sandwich_solve
@@ -118,13 +118,11 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     c + (I - c*) X (I - c*).  Unsolvability of the sandwich equation signals
     that c is not below a in the star order.
     """
-    am = as_cmat(a)
-    cm = as_cmat(c_idempotent)
-    require_square_pair(am, cm)
+    am, cm, n = square_pair(a, c_idempotent)
     defect = idempotent_defect(cm)
     if defect > tol.res_rtol:
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
-    outer = np.eye(am.shape[0], dtype=np.complex128) - adj(cm)
+    outer = np.eye(n, dtype=np.complex128) - adj(cm)
     # I - c* may be rounding noise (c close to the identity)
     scale = max(1.0, float(np.linalg.norm(cm)))
     try:
@@ -166,9 +164,7 @@ def is_generalized_projection(a, tol: Tol = DEFAULT_TOL) -> bool:
 def gp_decompose(a, b_gp, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Witness X with a = b + (I - b b*) X (I - b* b) for a generalized
     projection b with b <=* a.  X = a itself is such a witness."""
-    am = as_cmat(a)
-    bm = as_cmat(b_gp)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a, b_gp)
     if not is_generalized_projection(bm, tol):
         raise PreconditionError("b is not a generalized projection")
     require_star_leq(bm, am, tol, "gp_decompose requires b <=* a")
@@ -182,9 +178,7 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     a and a*.  Returns x = a a* - b plus the certificate report, which also
     carries the absorption identities a b = b a = a* b = b a* = b.
     """
-    am = as_cmat(a_gp)
-    bm = as_cmat(b)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a_gp, b)
     if not is_generalized_projection(am, tol):
         raise PreconditionError("a is not a generalized projection")
     require_star_leq(bm, am, tol, "meet_split requires b <=* a")
@@ -211,9 +205,7 @@ def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Rep
     returned report demonstrates at least one failing certificate; the
     agreement flag records that the two sides matched either way.
     """
-    am = as_cmat(a_idem)
-    bm = as_cmat(b)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a_idem, b)
     defect = idempotent_defect(am)
     if defect > tol.res_rtol:
         raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
@@ -240,11 +232,8 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     on both sides.  The report carries both sides and their agreement flag.
     Never raises for non-comparable b (only for a non-GP c or bad shapes).
     """
-    am = as_cmat(a)
-    cm = as_cmat(c_gp)
-    bm = as_cmat(b)
-    require_square_pair(am, cm)
-    require_square_pair(am, bm)
+    am, cm, _ = square_pair(a, c_gp)
+    _, bm, _ = square_pair(am, b)
     if not is_generalized_projection(cm, tol):
         raise PreconditionError("c is not a generalized projection")
     cc = cm @ adj(cm)

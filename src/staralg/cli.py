@@ -124,7 +124,7 @@ def parse_matrix(source) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.complex128)
     parts = out.view(np.float64)  # row i holds re, im, re, im, ... of out[i]
     for i, line in enumerate(body):
-        if _ROW.fullmatch(line) and line.count("(") == cols:
+        if _ROW.fullmatch(line):
             try:
                 parts[i] = [*map(float, line.translate(_UNWRAP).split())]
             except ValueError:
@@ -215,38 +215,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sand.add_argument("--u", default=None, help="free parameter (defaults to zero)")
     p_sand.add_argument("--out", required=True)
 
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("--stream", type=int, default=0)
+
     p_gen = sub.add_parser("gen", help="write seeded instances")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    g_pair = gen_sub.add_parser("star-pair", help="pair (a, b) with b below a in the star order")
+    g_pair = gen_sub.add_parser(
+        "star-pair", parents=[seeded], help="pair (a, b) with b below a in the star order"
+    )
     g_pair.add_argument("--n", type=int, required=True)
     g_pair.add_argument("--rank", type=int, required=True, help="rank of the smaller element")
     g_pair.add_argument("--extra", type=int, required=True, help="extra rank of the larger element")
     g_pair.add_argument("--hermitian", action="store_true")
-    g_pair.add_argument("--seed", type=int, required=True)
-    g_pair.add_argument("--stream", type=int, default=0)
     g_pair.add_argument("--out-a", required=True, help="file for the larger element")
     g_pair.add_argument("--out-b", required=True, help="file for the smaller element")
-    g_gp = gen_sub.add_parser("gp", help="generalized projection with given multiplicities")
+    g_gp = gen_sub.add_parser(
+        "gp", parents=[seeded], help="generalized projection with given multiplicities"
+    )
     g_gp.add_argument("--n", type=int, required=True)
     g_gp.add_argument("--m1", type=int, default=0, help="multiplicity of eigenvalue 1")
     g_gp.add_argument("--mw", type=int, default=0, help="multiplicity of the first cube root")
     g_gp.add_argument("--mw2", type=int, default=0, help="multiplicity of the second cube root")
-    g_gp.add_argument("--seed", type=int, required=True)
-    g_gp.add_argument("--stream", type=int, default=0)
     g_gp.add_argument("--out", required=True)
-    g_idem = gen_sub.add_parser("idempotent", help="rank-r idempotent, optionally skewed")
+    g_idem = gen_sub.add_parser(
+        "idempotent", parents=[seeded], help="rank-r idempotent, optionally skewed"
+    )
     g_idem.add_argument("--n", type=int, required=True)
     g_idem.add_argument("--rank", type=int, required=True)
     g_idem.add_argument("--skew", type=float, default=0.0)
-    g_idem.add_argument("--seed", type=int, required=True)
-    g_idem.add_argument("--stream", type=int, default=0)
     g_idem.add_argument("--out", required=True)
-    g_rank = gen_sub.add_parser("rank", help="random matrix of exact rank r")
+    g_rank = gen_sub.add_parser("rank", parents=[seeded], help="random matrix of exact rank r")
     g_rank.add_argument("--rows", type=int, required=True)
     g_rank.add_argument("--cols", type=int, required=True)
     g_rank.add_argument("--rank", type=int, required=True)
-    g_rank.add_argument("--seed", type=int, required=True)
-    g_rank.add_argument("--stream", type=int, default=0)
     g_rank.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run claim suites")

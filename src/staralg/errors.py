@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "StaralgError",
+    "PreconditionError",
+    "NotComparableError",
+    "UnsolvableError",
+    "NumericError",
+    "MatrixFormatError",
+]
+
 
 class StaralgError(Exception):
     """Base class for all errors raised by this package."""

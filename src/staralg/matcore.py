@@ -186,13 +186,16 @@ def is_projector(p, tol: Tol = DEFAULT_TOL) -> bool:
     return hermitian_defect(m) <= tol.res_rtol and idempotent_defect(m) <= tol.res_rtol
 
 
-def require_square_pair(a: np.ndarray, b: np.ndarray) -> int:
-    """Common dimension n of two n x n matrices; raises PreconditionError otherwise."""
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
+def square_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both operands as matrices plus their common dimension n; raises
+    PreconditionError unless both are n x n."""
+    am = as_cmat(a)
+    bm = as_cmat(b)
+    if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise PreconditionError(
-            f"expected square matrices of one common dimension, got {a.shape} and {b.shape}"
+            f"expected square matrices of one common dimension, got {am.shape} and {bm.shape}"
         )
-    return a.shape[0]
+    return am, bm, am.shape[0]
 
 
 def require_projector(p: np.ndarray, tol: Tol, name: str) -> None:

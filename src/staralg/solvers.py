@@ -21,7 +21,7 @@ from .matcore import (
     hermitian_defect,
     pinv,
     rel_residual,
-    require_square_pair,
+    square_pair,
 )
 from .report import Report, check_flag, check_le
 from .starorder import range_inclusion_residual, require_star_leq, star_residuals
@@ -130,9 +130,7 @@ def sandwich_solve(
 
 def system_criterion_residual(a, b, tol: Tol = DEFAULT_TOL) -> float:
     """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a, b)
     ap = pinv(am, tol)
     return rel_residual(am @ ap @ bm @ ap @ am - bm, bm)
 
@@ -154,9 +152,7 @@ def system_particular(
     a, b, tol: Tol = DEFAULT_TOL, which: Literal["pinv_a", "pinv_b"] = "pinv_a"
 ) -> np.ndarray:
     """A closed-form solution of b X a = b = a X b when b <=* a: a+ or b+."""
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_particular requires b <=* a")
     if which == "pinv_a":
         return pinv(am, tol)
@@ -180,9 +176,7 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     at construction.  When a == b, d+ is exactly zero and
     X(s, t) = a+ + t - (a+ a) t (a a+).
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    n = require_square_pair(am, bm)
+    am, bm, n = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_family requires b <=* a")
     ap = pinv(am, tol)
     bp = pinv(bm, tol)
@@ -200,9 +194,7 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
 def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """``system_family(a, b, tol)`` evaluated at (s, t); a parameter of the
     wrong shape is reported before an order violation."""
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    n = require_square_pair(am, bm)
+    am, bm, n = square_pair(a, b)
     sm = as_cmat(s)
     tm = as_cmat(t)
     if sm.shape != (n, n) or tm.shape != (n, n):
@@ -218,10 +210,8 @@ def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     The two properties are equivalent whenever b <=* a, so the report carries
     an agreement flag alongside the four raw residuals.  Never raises.
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
+    am, bm, n = square_pair(a, b)
     xm = as_cmat(x)
-    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
     r_bxa = rel_residual(bm @ xm @ am - bm, bm)
@@ -246,10 +236,8 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     Returns y = (a+ a) x_big (a a+).  Requires that x_big actually solves
     b X a = b = a X b.
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
+    am, bm, n = square_pair(a, b)
     xm = as_cmat(x_big)
-    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x_big must be {n}x{n}, got {xm.shape}")
     r_bxa = rel_residual(bm @ xm @ am - bm, bm)
@@ -270,12 +258,10 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     Built from the Schur complement s = d* - b* a+ c of the associated block
     matrix and m = b* (I - a+ a).
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
+    am, bm, n = square_pair(a, b)
     cm = as_cmat(c)
     dm = as_cmat(d)
     wm = as_cmat(w_hermitian)
-    n = require_square_pair(am, bm)
     for name, mat in (("c", cm), ("d", dm), ("w", wm)):
         if mat.shape != (n, n):
             raise PreconditionError(f"{name} must be {n}x{n}, got {mat.shape}")
@@ -316,9 +302,7 @@ def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     Requires b <=* a together with b* a+ b and b (a+)* b* Hermitian; the
     construction solves the reduced pair b X = b a+, X b = a+ b.
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
-    require_square_pair(am, bm)
+    am, bm, _ = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_hermitian requires b <=* a")
     ap = pinv(am, tol)
     h1 = hermitian_defect(adj(bm) @ ap @ bm)
@@ -338,10 +322,8 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     and a x a = a.  The two sides hold together or fail together; the report
     carries both plus an agreement flag.  Never raises.
     """
-    am = as_cmat(a)
-    bm = as_cmat(b)
+    am, bm, n = square_pair(a, b)
     xm = as_cmat(x)
-    n = require_square_pair(am, bm)
     if xm.shape != (n, n):
         raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
     ap = pinv(am, tol)

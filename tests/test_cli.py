@@ -112,6 +112,7 @@ def test_parse_errors_carry_position(text, line, column):
         ("1 3\n(1,0) (2,0) (x,0)", "unparsable float in entry '(x,0)' (line 2, column 13)"),
         ("1 3\n(1,0) (2,0) (3,0", "bad entry '(3,0', expected '(re,im)' (line 2, column 13)"),
         ("1 2\n(1,0) (2,0) (3,0)", "expected 2 entries, found 3 (line 2, column 13)"),
+        ("1 3\n(1,0) (2,0)", "expected 3 entries, found 2 (line 2, column 7)"),
         ("2 1\r\n(1,0)\r\n(a,0)\r\n\r\n", "unparsable float in entry '(a,0)' (line 3, column 1)"),
         ("2 2\n(1,0) (nan,0)\n(1,0) (2,0) \n\n  \n", "non-finite entry '(nan,0)' (line 2, column 7)"),
         # the first bad entry in reading order wins, whatever its kind
