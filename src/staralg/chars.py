@@ -25,7 +25,7 @@ from .matcore import (
     require_projector,
     square_pair,
 )
-from .report import Report, check_flag, check_le
+from .report import Check, Report, check_flag, check_le
 from .solvers import SolutionFamily, sandwich_solve
 from .starorder import range_inclusion_residual, require_star_leq, star_leq, star_residuals
 
@@ -46,6 +46,16 @@ def _require_range_in(p: np.ndarray, b: np.ndarray, tol: Tol, p_name: str, b_nam
     gap = range_inclusion_residual(p, b, tol)
     if gap > tol.res_rtol:
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
+
+
+def _split_certificates(b: np.ndarray, x: np.ndarray, rt: float) -> tuple[Check, ...]:
+    """The certificates of a split b + x: both summands idempotent, b* x = x b* = 0."""
+    return (
+        check_le("b_idempotent", idempotent_defect(b), rt),
+        check_le("x_idempotent", idempotent_defect(x), rt),
+        check_le("bstar_x", rel_residual(adj(b) @ x, b), rt),
+        check_le("x_bstar", rel_residual(x @ adj(b), b), rt),
+    )
 
 
 def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL) -> Report:
@@ -185,11 +195,7 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     require_star_leq(bm, adj(am), tol, "meet_split requires b <=* a*")
     x = am @ adj(am) - bm
     rt = tol.res_rtol
-    checks = (
-        check_le("b_idempotent", idempotent_defect(bm), rt),
-        check_le("x_idempotent", idempotent_defect(x), rt),
-        check_le("bstar_x", rel_residual(adj(bm) @ x, bm), rt),
-        check_le("x_bstar", rel_residual(x @ adj(bm), bm), rt),
+    checks = _split_certificates(bm, x, rt) + (
         check_le("ab_absorb", rel_residual(am @ bm - bm, bm), rt),
         check_le("ba_absorb", rel_residual(bm @ am - bm, bm), rt),
         check_le("astar_b_absorb", rel_residual(adj(am) @ bm - bm, bm), rt),
@@ -210,13 +216,7 @@ def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Rep
     if defect > tol.res_rtol:
         raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
     x = am - bm
-    rt = tol.res_rtol
-    certs = (
-        check_le("b_idempotent", idempotent_defect(bm), rt),
-        check_le("x_idempotent", idempotent_defect(x), rt),
-        check_le("bstar_x", rel_residual(adj(bm) @ x, bm), rt),
-        check_le("x_bstar", rel_residual(x @ adj(bm), bm), rt),
-    )
+    certs = _split_certificates(bm, x, tol.res_rtol)
     certs_hold = all(c.passed for c in certs)
     star = star_leq(bm, am, tol)
     checks = certs + (check_flag("star_matches_certificates", star == certs_hold),)

@@ -166,16 +166,20 @@ def rel_residual(e, scale) -> float:
     return float(num / max(1.0, float(den)))
 
 
-def hermitian_defect(a, scale=None) -> float:
-    """Relative residual of a - a*."""
+def hermitian_defect(a) -> float:
+    """Relative residual of a - a* for a square matrix a."""
     m = as_cmat(a)
-    return rel_residual(m - adj(m), m if scale is None else scale)
+    if m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got {m.shape}")
+    return rel_residual(m - adj(m), m)
 
 
-def idempotent_defect(a, scale=None) -> float:
-    """Relative residual of a@a - a."""
+def idempotent_defect(a) -> float:
+    """Relative residual of a@a - a for a square matrix a."""
     m = as_cmat(a)
-    return rel_residual(m @ m - m, m if scale is None else scale)
+    if m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got {m.shape}")
+    return rel_residual(m @ m - m, m)
 
 
 def is_projector(p, tol: Tol = DEFAULT_TOL) -> bool:

@@ -230,6 +230,17 @@ def test_pinv_command_malformed_input(tmp_path, capsys):
     assert "line 3" in err and "column" in err
 
 
+def test_check_solvable_non_square_b_is_an_error(tmp_path, capsys):
+    a = tmp_path / "a.mat"
+    b = tmp_path / "b.mat"
+    write_matrix(a, np.eye(2))
+    write_matrix(b, np.ones((2, 3)))
+    assert run("check", "solvable", "--a", str(a), "--b", str(b)) == 1
+    assert capsys.readouterr().err == (
+        "error: expected square matrices of one common dimension, got (2, 2) and (2, 3)\n"
+    )
+
+
 def test_check_star_order_exit_codes(tmp_path, capsys):
     a = tmp_path / "a.mat"
     b = tmp_path / "b.mat"

@@ -129,8 +129,8 @@ def test_meet_projector_dominated_by_both():
         p = u[:, :3] @ adj(u[:, :3])
         q = v[:, :2] @ adj(v[:, :2])
         m = meet_projector(p, q)
-        assert hermitian_defect(m, scale=np.eye(5)) <= 1e-10
-        assert idempotent_defect(m, scale=np.eye(5)) <= 1e-10
+        assert hermitian_defect(m) <= 1e-10
+        assert idempotent_defect(m) <= 1e-10
         assert rel_residual(p @ m - m, m) <= 1e-8
         assert rel_residual(q @ m - m, m) <= 1e-8
 

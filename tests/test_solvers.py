@@ -275,18 +275,6 @@ def test_system_general_family_is_complete_at_small_dims():
         assert family_dim == solset_dim
 
 
-def _count_svds(monkeypatch):
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 def test_system_family_particular_is_pinv_b():
     for big, small in _seeded_pairs():
         fam = system_family(big, small)
@@ -304,23 +292,23 @@ def test_system_family_instantiate_matches_system_general():
             assert fam.instantiate([s, t]).tobytes() == system_general(big, small, s, t).tobytes()
 
 
-def test_system_family_factors_each_operand_once(monkeypatch):
+def test_system_family_factors_each_operand_once(svd_calls):
     big, small = gen_star_pair(6, 2, 2, Seed(84))
     rng = SplitMix64(Seed(85))
     draws = [(rng.complex_gaussian(6, 6), rng.complex_gaussian(6, 6)) for _ in range(6)]
-    calls = _count_svds(monkeypatch)
+    svd_calls.clear()
     fam = system_family(big, small)
-    assert len(calls) == 2
+    assert len(svd_calls) == 2
     for s, t in draws:
         fam.instantiate([s, t])
-    assert len(calls) == 2
+    assert len(svd_calls) == 2
 
 
-def test_system_family_first_instantiate_is_thread_safe(monkeypatch):
+def test_system_family_first_instantiate_is_thread_safe(svd_calls):
     big, small = gen_star_pair(48, 16, 16, Seed(86))
     rng = SplitMix64(Seed(87))
     s, t = rng.complex_gaussian(48, 48), rng.complex_gaussian(48, 48)
-    calls = _count_svds(monkeypatch)
+    svd_calls.clear()
     fam = system_family(big, small)
     start = threading.Barrier(2)
     results = [None, None]
@@ -334,7 +322,7 @@ def test_system_family_first_instantiate_is_thread_safe(monkeypatch):
         th.start()
     for th in threads:
         th.join()
-    assert len(calls) == 2
+    assert len(svd_calls) == 2
     assert results[0].tobytes() == results[1].tobytes()
     assert results[0].tobytes() == system_general(big, small, s, t).tobytes()
 
@@ -478,6 +466,14 @@ def test_system_hermitian_diagonal():
 def test_system_hermitian_requires_hypotheses():
     with pytest.raises(PreconditionError):
         system_hermitian(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), zeros(2))
+
+
+def test_system_hermitian_names_failing_hermitian_condition():
+    # b <=* b holds, but b (b+)* b* is not hermitian for a generic rank-2 b
+    b = gen_rank_r(4, 4, 2, Seed(3))
+    with pytest.raises(UnsolvableError) as excinfo:
+        system_hermitian(b, b, zeros(4))
+    assert "ac_adj_hermitian" in str(excinfo.value)
 
 
 # --- the two-sided condition bundle diagnostic -------------------------------

@@ -9,12 +9,15 @@ from staralg import (
     Seed,
     StaralgError,
     gen_star_pair,
+    hermitian_defect,
+    idempotent_defect,
     lsq_oracle,
     pinv,
     rel_residual,
     star_residuals,
     svd,
     system_general,
+    system_solvable,
 )
 
 GOOD = np.eye(3, dtype=np.complex128)
@@ -46,6 +49,24 @@ CALLS = {
 def test_public_entry_points_reject_malformed_input(call, kind):
     with pytest.raises(PreconditionError):
         CALLS[call](BAD[kind])
+
+
+NON_SQUARE = np.ones((2, 3), dtype=np.complex128)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hermitian_defect(NON_SQUARE),
+        lambda: idempotent_defect(NON_SQUARE),
+        lambda: system_solvable(np.eye(2), NON_SQUARE),
+        lambda: system_solvable(NON_SQUARE, np.eye(2)),
+    ],
+    ids=["hermitian_defect", "idempotent_defect", "system_solvable_b", "system_solvable_a"],
+)
+def test_non_square_operands_are_precondition_errors(call):
+    with pytest.raises(PreconditionError, match="square"):
+        call()
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf"])

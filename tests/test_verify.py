@@ -24,7 +24,9 @@ from staralg import (
     to_line,
     SUITE_DESCRIPTIONS,
     SUITE_NAMES,
+    UnsolvableError,
 )
+from staralg import verify as verify_module
 from staralg.report import check_ge, check_le
 
 
@@ -89,11 +91,19 @@ def test_suite_runs_are_deterministic():
     assert first == second
 
 
-def test_report_stream_digest_is_pinned(tmp_path):
-    """Pins the SHA-256 of the full ``verify --suite all`` report stream, so
-    a refactor that moves any reported digit or draw fails here.  A numeric
-    change re-pins it.  As for the written-file pins, the child runs with
-    one BLAS thread and OpenBLAS's baseline x86-64 kernel (Prescott)."""
+STREAM_DIGESTS = {
+    "6": "5a2497854239e7aaa7b1046211489b5541c7dff1746072c9be63737964211532",
+    "8": "ee54ca25c35d881d244a7627a3a84ff6a7a0cf5554f1f089cef1b5338ea3d9e3",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(STREAM_DIGESTS))
+def test_report_stream_digest_is_pinned(tmp_path, dims):
+    """Pins the SHA-256 of the full ``verify --suite all`` report stream at
+    dims 6 and 8, so a refactor that moves any reported digit or draw fails
+    here.  A numeric change re-pins it.  As for the written-file pins, the
+    child runs with one BLAS thread and OpenBLAS's baseline x86-64 kernel
+    (Prescott)."""
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent),
@@ -102,13 +112,36 @@ def test_report_stream_digest_is_pinned(tmp_path):
     }
     cmd = [
         sys.executable, "-m", "staralg", "verify",
-        "--suite", "all", "--trials", "50", "--dims", "6", "--seed", "1",
+        "--suite", "all", "--trials", "50", "--dims", dims, "--seed", "1",
     ]
     done = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == (
-        "5a2497854239e7aaa7b1046211489b5541c7dff1746072c9be63737964211532"
-    )
+    assert hashlib.sha256(done.stdout).hexdigest() == STREAM_DIGESTS[dims]
+
+
+@pytest.mark.parametrize("name", ["lem3.7", "thm4.3"])
+def test_negatives_read_the_criterion_off_the_solver(svd_calls, name):
+    """The negative instance is factored only by the solver that rejects it:
+    two SVDs for the positive family and two for the rejected call."""
+    run_suite(name, 10, 6, 1)
+    assert len(svd_calls) == 40
+
+
+def test_accepted_negative_reports_nan_and_fails(monkeypatch):
+    real = verify_module.sandwich_solve
+
+    def accepting(*args):
+        try:
+            return real(*args)
+        except UnsolvableError:
+            return None
+
+    monkeypatch.setattr(verify_module, "sandwich_solve", accepting)
+    rep = run_suite("lem3.7", 1, 6, 1)[0]
+    line = to_line(rep)
+    assert "unsolvable_margin=nan:fail " in line
+    assert "unsolvable_raises=1.00000e+00:fail " in line
+    assert not rep.verdict
 
 
 def test_report_line_format():
