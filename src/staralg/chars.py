@@ -136,7 +136,7 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     # I - c* may be rounding noise (c close to the identity)
     scale = max(1.0, float(np.linalg.norm(cm)))
     try:
-        return sandwich_solve(outer, am - cm, outer, tol, a_scale=scale, b_scale=scale)
+        return sandwich_solve(outer, am - cm, outer, tol, scale=scale)
     except UnsolvableError as exc:
         raise UnsolvableError(
             "no decomposition a = c + (I - c*) X (I - c*): "

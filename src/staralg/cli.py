@@ -30,9 +30,9 @@ from .matcore import DEFAULT_TOL, Tol, as_cmat, pinv
 from .report import to_line
 from .solvers import (
     sandwich_solve,
+    system_family,
     system_general,
     system_hermitian,
-    system_particular,
     system_solvable,
 )
 from .starorder import star_residuals
@@ -301,7 +301,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         b = parse_matrix(args.b)
         if args.s is None and args.t is None:
             # X(0, 0) bit for bit: it adds zero terms to b+, which turn a -0.0 into +0.0
-            x = system_particular(a, b, tol, "pinv_b") + 0.0
+            x = system_family(a, b, tol).particular + 0.0
         else:
             n = a.shape[0]
             s = _load_or_zeros(args.s, (n, n))

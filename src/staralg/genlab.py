@@ -209,12 +209,8 @@ def idempotent(rng: SplitMix64, n: int, r: int, skew: float) -> np.ndarray:
     raise NumericError("could not draw a well-conditioned similarity in 10 attempts")
 
 
-def thm23_instance(
-    rng: SplitMix64, a: np.ndarray, positive: bool, tol: Tol
-) -> np.ndarray:
-    n = a.shape[0]
-    p_range, p_corange, _, _ = projectors(a, tol)
-    meet = meet_projector(p_range, p_corange, tol)
+def thm23_instance(rng: SplitMix64, meet: np.ndarray, positive: bool) -> np.ndarray:
+    n = meet.shape[0]
     b = meet @ rng.hermitian_gaussian(n) @ meet
     if positive:
         return b
@@ -304,4 +300,6 @@ def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) ->
     am = as_cmat(a)
     if am.shape[0] != am.shape[1]:
         raise PreconditionError(f"a must be square, got {am.shape}")
-    return thm23_instance(SplitMix64(seed), am, positive, tol)
+    p_range, p_corange, _, _ = projectors(am, tol)
+    meet = meet_projector(p_range, p_corange, tol)
+    return thm23_instance(SplitMix64(seed), meet, positive)

@@ -9,7 +9,7 @@ shape mismatch or a non-finite entry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,15 +25,15 @@ from .matcore import (
     square_pair,
 )
 from .report import Report, check_flag, check_le
-from .starorder import range_inclusion_residual, require_star_leq, star_residuals
+from .starorder import require_star_leq, star_residuals
 
 __all__ = [
     "SolutionFamily",
+    "SystemFamily",
     "douglas_solve",
     "sandwich_solve",
     "system_criterion_residual",
     "system_solvable",
-    "system_particular",
     "system_family",
     "system_general",
     "solves_system",
@@ -81,12 +81,16 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """
     am = as_cmat(a)
     cm = as_cmat(c)
-    gap = range_inclusion_residual(cm, am, tol)
+    if cm.shape[0] != am.shape[0]:
+        raise PreconditionError(
+            f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
+        )
+    ap = pinv(am, tol)
+    gap = rel_residual(am @ ap @ cm - cm, cm)
     if gap > tol.res_rtol:
         raise UnsolvableError(
             f"a X = c is unsolvable: range criterion residual {gap:.3e}", residual=gap
         )
-    ap = pinv(am, tol)
     particular = ap @ cm
     ker = np.eye(am.shape[1], dtype=np.complex128) - ap @ am
 
@@ -97,13 +101,13 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
 
 
 def sandwich_solve(
-    a, c, b, tol: Tol = DEFAULT_TOL, *,
-    a_scale: float | None = None, b_scale: float | None = None,
+    a, c, b, tol: Tol = DEFAULT_TOL, *, scale: float | None = None
 ) -> SolutionFamily:
     """All solutions X of a X b = c, i.e. X(U) = a+ c b+ + U - a+ a U b b+.
 
-    Solvable exactly when a a+ c b+ b = c.  The scale hints feed the rank
-    decision when a or b is a derived matrix that may be rounding noise.
+    Solvable exactly when a a+ c b+ b = c.  The scale hint feeds the rank
+    decision of both factors when a and b are derived matrices that may be
+    rounding noise.  One array passed as both a and b is factored once.
     """
     am = as_cmat(a)
     cm = as_cmat(c)
@@ -112,8 +116,8 @@ def sandwich_solve(
         raise PreconditionError(
             f"c must be {am.shape[0]}x{bm.shape[1]} for a X b = c, got {cm.shape}"
         )
-    ap = pinv(am, tol, scale=a_scale)
-    bp = pinv(bm, tol, scale=b_scale)
+    ap = pinv(am, tol, scale=scale)
+    bp = ap if b is a else pinv(bm, tol, scale=scale)
     crit = rel_residual(am @ ap @ cm @ bp @ bm - cm, cm)
     if crit > tol.res_rtol:
         raise UnsolvableError(
@@ -155,20 +159,14 @@ def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float
     return rel_residual(b @ x @ a - b, b), rel_residual(a @ x @ b - b, b)
 
 
-def system_particular(
-    a, b, tol: Tol = DEFAULT_TOL, which: Literal["pinv_a", "pinv_b"] = "pinv_a"
-) -> np.ndarray:
-    """A closed-form solution of b X a = b = a X b when b <=* a: a+ or b+."""
-    am, bm, _ = square_pair(a, b)
-    require_star_leq(bm, am, tol, "system_particular requires b <=* a")
-    if which == "pinv_a":
-        return pinv(am, tol)
-    if which == "pinv_b":
-        return pinv(bm, tol)
-    raise PreconditionError(f"which must be 'pinv_a' or 'pinv_b', got {which!r}")
+@dataclass(frozen=True)
+class SystemFamily(SolutionFamily):
+    """The system's solution family plus a+, which solves the system too (Prop. 3.3)."""
+
+    pinv_a: np.ndarray
 
 
-def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SystemFamily:
     """The closed-form solution family of b X a = b = a X b, in parameters (s, t).
 
     With d = a - b, the family is
@@ -179,23 +177,22 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     hold under the order hypothesis b <=* a, i.e. b* d = 0 and b d* = 0:
     a+ b = b+ b; d+ = a+ - b+ (pseudoinverse additivity for star-orthogonal
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
-    projectors of b and d sum to a a+.  Only a and b are factored, each once,
-    at construction.  When a == b, d+ is exactly zero and
-    X(s, t) = a+ + t - (a+ a) t (a a+).
+    projectors of b and d sum to a a+.  Under the order a and b also have a
+    simultaneous SVD in which b keeps a subset of a's singular values
+    (Hartwig & Drazin 1978), so b+ = a+ b a+: only a is factored, once, at
+    construction.  When a == b, d = 0 removes the s term and
+    X(s, t) = b+ + t - (a+ a) t (a a+).
     """
     am, bm, n = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_family requires b <=* a")
     ap = pinv(am, tol)
-    bp = pinv(bm, tol)
-    dp = ap - bp
-    dpd = dp @ (am - bm)
-    left = ap @ am
-    right = am @ ap
+    bp = ap @ bm @ ap
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return bp + dpd @ s @ dp + t - left @ t @ right
+        dp = ap - bp
+        return bp + (dp @ (am - bm)) @ s @ dp + t - (ap @ am) @ t @ (am @ ap)
 
-    return SolutionFamily(bp, ((n, n), (n, n)), apply)
+    return SystemFamily(bp, ((n, n), (n, n)), apply, ap)
 
 
 def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -262,7 +259,8 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     Requires the four solvability conditions (a a+ c = c, d b+ b = d,
     a d = c b, and a c* / b* d Hermitian) plus a Hermitian free parameter w.
     Built from the Schur complement s = d* - b* a+ c of the associated block
-    matrix and m = b* (I - a+ a).
+    matrix and m = b* (I - a+ a).  One array passed as both a and b is
+    factored once.
     """
     am, bm, n = square_pair(a, b)
     cm = as_cmat(c)
@@ -273,7 +271,7 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
             raise PreconditionError(f"{name} must be {n}x{n}, got {mat.shape}")
 
     ap = pinv(am, tol)
-    bp = pinv(bm, tol)
+    bp = ap if b is a else pinv(bm, tol)
     conditions = (
         ("range_c", rel_residual(am @ ap @ cm - cm, cm)),
         ("corange_d", rel_residual(dm @ bp @ bm - dm, dm)),

@@ -46,6 +46,7 @@ from .matcore import (
     adj,
     hermitian_defect,
     idempotent_defect,
+    meet_projector,
     pinv,
     projectors,
     rel_residual,
@@ -63,7 +64,6 @@ from .solvers import (
     system_family,
     system_general,
     system_hermitian,
-    system_particular,
     system_residuals,
 )
 from .starorder import star_residuals
@@ -233,8 +233,9 @@ def _suite_thm2_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     r = rng.randint(n)  # rank-deficient so a negative instance exists
     a = rank_r(rng, n, n, r)
     ap = pinv(a, tol)
-    b_pos = thm23_instance(rng, a, True, tol)
-    b_neg = thm23_instance(rng, a, False, tol)
+    meet = meet_projector(a @ ap, ap @ a, tol)
+    b_pos = thm23_instance(rng, meet, True)
+    b_neg = thm23_instance(rng, meet, False)
 
     crit_pos = system_criterion_residual(a, b_pos, tol)
     crit_neg = system_criterion_residual(a, b_neg, tol)
@@ -278,10 +279,11 @@ def _suite_prop3_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     r = rng.randint(n + 1)
     k = rng.randint(n - r + 1)
     big, small = star_pair(rng, n, r, k, False)
-    checks = []
-    for which in ("pinv_a", "pinv_b"):
-        checks.extend(_solves(which, big, small, system_particular(big, small, tol, which), tol))
-    return tuple(checks)
+    fam = system_family(big, small, tol)
+    return (
+        *_solves("pinv_a", big, small, fam.pinv_a, tol),
+        *_solves("pinv_b", big, small, fam.particular, tol),
+    )
 
 
 def _suite_prop3_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
@@ -338,7 +340,7 @@ def _suite_thm3_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     fam = system_family(big, small, tol)
     xg = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
     checks = []
-    for name, x in (("pinv_a", pinv(big, tol)), ("pinv_b", fam.particular), ("general", xg)):
+    for name, x in (("pinv_a", fam.pinv_a), ("pinv_b", fam.particular), ("general", xg)):
         rep = solves_system(big, small, x, tol)
         checks.append(check_flag(f"{name}_solves_and_dominated", rep.verdict))
     for j in range(3):
@@ -390,7 +392,7 @@ def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     fam = system_family(big, small, tol)
     x_big = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
     y = reduce_system(big, small, x_big, tol)
-    ap = pinv(big, tol)
+    ap = fam.pinv_a
     target_left = ap @ small
     target_right = small @ ap
     bp = fam.particular

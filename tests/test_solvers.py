@@ -23,11 +23,11 @@ from staralg import (
     rel_residual,
     sandwich_solve,
     solves_system,
+    star_residuals,
     system_criterion_residual,
     system_family,
     system_general,
     system_hermitian,
-    system_particular,
     system_solvable,
 )
 
@@ -147,20 +147,21 @@ def test_system_solvable_requires_selfadjoint():
         system_solvable(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_system_particular_diagonal():
+def test_system_family_diagonal():
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
-    xa = system_particular(a, b, which="pinv_a")
+    fam = system_family(a, b)
+    xa = fam.pinv_a
     assert np.allclose(xa, np.diag([1.0, 0.5]), atol=1e-14)
     assert np.allclose(b @ xa @ a, b, atol=1e-14)
-    xb = system_particular(a, b, which="pinv_b")
+    xb = fam.particular
     assert np.allclose(xb, np.diag([1.0, 0.0]), atol=1e-14)
     assert np.allclose(a @ xb @ b, b, atol=1e-14)
 
 
-def test_system_particular_requires_order():
+def test_system_family_requires_order():
     with pytest.raises(PreconditionError):
-        system_particular(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+        system_family(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
 
 
 # --- the closed-form family --------------------------------------------------
@@ -276,10 +277,40 @@ def test_system_general_family_is_complete_at_small_dims():
 
 
 def test_system_family_particular_is_pinv_b():
+    """Under b <=* a, b+ = a+ b a+ (simultaneous SVD, Hartwig & Drazin 1978):
+    the family reads b+ off the one factor of a."""
     for big, small in _seeded_pairs():
         fam = system_family(big, small)
-        assert fam.particular.tobytes() == pinv(small).tobytes()
-        assert fam.particular.tobytes() == system_particular(big, small, which="pinv_b").tobytes()
+        ap = pinv(big)
+        assert fam.pinv_a.tobytes() == ap.tobytes()
+        assert fam.particular.tobytes() == (ap @ small @ ap).tobytes()
+        bp = pinv(small)
+        assert np.linalg.norm(fam.particular - bp) <= 1e-12 * np.linalg.norm(bp)
+
+
+def test_family_of_near_star_pairs_keeps_the_verdicts():
+    """A pair that satisfies b <=* a only to about 1e-9 moves a+ b a+ away
+    from b+ by about that residual times cond(a); every member built from
+    a+ b a+ gets the same solves_system verdict as the member built from the
+    reference b+ = pinv(b)."""
+    rng = SplitMix64(Seed(95))
+    for big, small in _seeded_pairs():
+        n = big.shape[0]
+        # tilt both sides of b: its rank stays, so pinv(b) stays well defined
+        left, right = rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
+        left = np.eye(n) + 1e-9 * left / np.linalg.norm(left)
+        right = np.eye(n) + 1e-9 * right / np.linalg.norm(right)
+        small = left @ small @ right
+        order = max(star_residuals(small, big))
+        assert 1e-10 <= order <= RES
+        fam = system_family(big, small)
+        ap = pinv(big)
+        bp = pinv(small)
+        dp = ap - bp
+        for s, t in ((zeros(n), zeros(n)), (rng.complex_gaussian(n, n), rng.complex_gaussian(n, n))):
+            ref = bp + (dp @ (big - small)) @ s @ dp + t - (ap @ big) @ t @ (big @ ap)
+            got = fam.instantiate([s, t])
+            assert solves_system(big, small, got).verdict == solves_system(big, small, ref).verdict
 
 
 def test_system_family_instantiate_matches_system_general():
@@ -298,10 +329,10 @@ def test_system_family_factors_each_operand_once(svd_calls):
     draws = [(rng.complex_gaussian(6, 6), rng.complex_gaussian(6, 6)) for _ in range(6)]
     svd_calls.clear()
     fam = system_family(big, small)
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 1
     for s, t in draws:
         fam.instantiate([s, t])
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 1
 
 
 def test_system_family_first_instantiate_is_thread_safe(svd_calls):
@@ -322,7 +353,7 @@ def test_system_family_first_instantiate_is_thread_safe(svd_calls):
         th.start()
     for th in threads:
         th.join()
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 1
     assert results[0].tobytes() == results[1].tobytes()
     assert results[0].tobytes() == system_general(big, small, s, t).tobytes()
 
@@ -351,7 +382,7 @@ def test_solves_system_zero_b():
 
 def test_solves_system_particular_solution():
     big, small = gen_star_pair(5, 2, 1, Seed(74))
-    x = system_particular(big, small, which="pinv_a")
+    x = system_family(big, small).pinv_a
     rep = solves_system(big, small, x)
     assert rep.verdict
     assert rep.passed("solves_matches_dominance")

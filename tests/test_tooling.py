@@ -51,8 +51,8 @@ PUBLIC_NAMES = {
         "range_inclusion_residual",
     ),
     "solvers": (
-        "SolutionFamily", "douglas_solve", "sandwich_solve", "system_criterion_residual",
-        "system_solvable", "system_particular", "system_family", "system_general",
+        "SolutionFamily", "SystemFamily", "douglas_solve", "sandwich_solve",
+        "system_criterion_residual", "system_solvable", "system_family", "system_general",
         "solves_system", "reduce_system", "hermitian_system_solve", "system_hermitian",
         "prop_main_check",
     ),

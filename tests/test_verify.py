@@ -92,8 +92,8 @@ def test_suite_runs_are_deterministic():
 
 
 STREAM_DIGESTS = {
-    "6": "5a2497854239e7aaa7b1046211489b5541c7dff1746072c9be63737964211532",
-    "8": "ee54ca25c35d881d244a7627a3a84ff6a7a0cf5554f1f089cef1b5338ea3d9e3",
+    "6": "db7632b4bc0cfa5ecbae61fc53584117d0720864b00c2a774ec6694d7d6509f9",
+    "8": "e606e9148dcb5f91c3c21c3ec0c43ad10d162c1471a72350d238370674e237d6",
 }
 
 
@@ -119,12 +119,28 @@ def test_report_stream_digest_is_pinned(tmp_path, dims):
     assert hashlib.sha256(done.stdout).hexdigest() == STREAM_DIGESTS[dims]
 
 
-@pytest.mark.parametrize("name", ["lem3.7", "thm4.3"])
-def test_negatives_read_the_criterion_off_the_solver(svd_calls, name):
-    """The negative instance is factored only by the solver that rejects it:
-    two SVDs for the positive family and two for the rejected call."""
+# SVDs made by 10 trials at dims 6, seed 1: a star pair's b+ is read off a's
+# factor as a+ b a+, one array passed as both operands of a solver is factored
+# once, and a negative is factored only by the solver that rejects it.  A
+# count that rises means some operand is factored again.
+SVD_BUDGETS = {
+    "douglas": 19,
+    "thm2.3": 40,
+    "prop3.3": 10,
+    "thm3.6": 10,
+    "lem3.7": 40,
+    "thm3.8": 30,
+    "thm3.9": 20,
+    "thm3.11": 60,
+    "thm4.3": 20,
+    "prop4.9": 30,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVD_BUDGETS))
+def test_svd_budget(svd_calls, name):
     run_suite(name, 10, 6, 1)
-    assert len(svd_calls) == 40
+    assert len(svd_calls) == SVD_BUDGETS[name]
 
 
 def test_accepted_negative_reports_nan_and_fails(monkeypatch):
