@@ -3,8 +3,9 @@ b X a = b = a X b, the star partial order, and their characterizations.
 
 The library is organized as:
 
-- ``matcore``:   SVD, pseudoinverse, projectors, residual conventions
-- ``starorder``: the order predicate, its block witness, range inclusion
+- ``matcore``:   one Factor per operand (SVD, rank, pseudoinverse), projectors,
+                 residual conventions
+- ``starorder``: the order predicate and range inclusion
 - ``solvers``:   closed-form solution families and system diagnostics
 - ``chars``:     characterizations via projections and (generalized) idempotents
 - ``genlab``:    seeded, bit-reproducible instance generators

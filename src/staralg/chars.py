@@ -19,8 +19,8 @@ from .matcore import (
     Tol,
     adj,
     as_cmat,
+    factor,
     idempotent_defect,
-    pinv,
     rel_residual,
     require_projector,
     square_pair,
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def _require_range_in(p: np.ndarray, b: np.ndarray, tol: Tol, p_name: str, b_name: str) -> None:
+def _require_range_in(p: np.ndarray, b, tol: Tol, p_name: str, b_name: str) -> None:
     gap = range_inclusion_residual(p, b, tol)
     if gap > tol.res_rtol:
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
@@ -69,7 +69,7 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
     bm = as_cmat(b)
     require_projector(pm, tol, "p")
     if side == "left":
-        _require_range_in(pm, bm, tol, "p", "b")
+        _require_range_in(pm, b, tol, "p", "b")
         gram = bm @ adj(bm)
         compressed = pm @ bm
     elif side == "right":
@@ -100,7 +100,7 @@ def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     qm = as_cmat(q)
     require_projector(pm, tol, "p")
     require_projector(qm, tol, "q")
-    _require_range_in(pm, bm, tol, "p", "b")
+    _require_range_in(pm, b, tol, "p", "b")
     _require_range_in(qm, adj(bm), tol, "q", "b*")
 
     compressed = pm @ bm @ qm
@@ -156,7 +156,7 @@ def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
         raise PreconditionError(f"a must be square, got {am.shape}")
     a2 = am @ am
     a3 = a2 @ am
-    p_range = am @ pinv(am, tol)
+    p_range = am @ factor(a, tol).pinv
     rt = tol.res_rtol
     checks = (
         check_le("gp_defect", rel_residual(a2 - adj(am), am), rt),
@@ -234,7 +234,7 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     """
     am, cm, _ = square_pair(a, c_gp)
     _, bm, _ = square_pair(am, b)
-    if not is_generalized_projection(cm, tol):
+    if not is_generalized_projection(c_gp, tol):
         raise PreconditionError("c is not a generalized projection")
     cc = cm @ adj(cm)
     below_a = star_leq(bm, am, tol)

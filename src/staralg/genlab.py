@@ -27,8 +27,8 @@ import numpy as np
 from .errors import NumericError, PreconditionError
 from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, meet_projector, projectors
 
-__all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_unitary", "gen_rank_r",
-           "gen_star_pair", "gen_gp", "gen_idempotent", "gen_thm23_instance"]
+__all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_rank_r", "gen_star_pair", "gen_gp",
+           "gen_idempotent", "gen_thm23_instance"]
 
 PRNG_NAME = "splitmix64"
 
@@ -222,13 +222,6 @@ def thm23_instance(rng: SplitMix64, meet: np.ndarray, positive: bool) -> np.ndar
         )
     e = p_out @ rng.complex_gaussian(n, n) @ p_out
     return b + 0.1 * (e + adj(e))
-
-
-def gen_unitary(n: int, seed: Seed) -> np.ndarray:
-    """Seeded n x n unitary (orthonormalized complex Gaussian)."""
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    return unitary(SplitMix64(seed), n)
 
 
 def gen_rank_r(m: int, n: int, r: int, seed: Seed) -> np.ndarray:

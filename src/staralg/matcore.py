@@ -1,4 +1,4 @@
-"""Dense complex-matrix substrate: SVD, pseudoinverse, projectors, residuals.
+"""Dense complex-matrix substrate: factors, pseudoinverse, projectors, residuals.
 
 Every matrix in this package is a 2-D ``numpy.ndarray`` of ``complex128``.
 All operations here are pure functions of their inputs; nothing is mutated,
@@ -20,18 +20,16 @@ from .errors import NumericError, PreconditionError
 __all__ = [
     "Tol",
     "DEFAULT_TOL",
-    "Svd",
+    "Factor",
     "adj",
     "as_cmat",
-    "svd",
-    "rank_of",
+    "factor",
     "pinv",
     "projectors",
     "meet_projector",
     "rel_residual",
     "hermitian_defect",
     "idempotent_defect",
-    "is_projector",
 ]
 
 
@@ -62,7 +60,10 @@ def adj(a: np.ndarray) -> np.ndarray:
 
 
 def as_cmat(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 matrix, rejecting non-finite entries."""
+    """Coerce input to a 2-D complex128 matrix, rejecting non-finite entries;
+    a Factor gives back the matrix it validated."""
+    if isinstance(a, Factor):
+        return a.m
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise PreconditionError(f"expected a 2-D matrix, got ndim={m.ndim}")
@@ -79,57 +80,66 @@ def _is_cmat(m) -> bool:
     return isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2 and m.size > 0
 
 
-@dataclass(frozen=True)
-class Svd:
-    """Full singular value decomposition a = u @ diag(s) @ vh (s padded by zeros)."""
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One validated operand and its rank decision, made once.
 
+    ``m == u @ diag(s) @ vh`` is the full SVD (s padded by zeros); the
+    singular values above ``cutoff`` count toward ``rank``, and ``pinv``
+    inverts exactly those.  ``tol`` and ``scale`` are the arguments of
+    ``factor`` that made the decision.
+    """
+
+    m: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
+    rank: int
+    cutoff: float
+    pinv: np.ndarray
+    tol: Tol
+    scale: float | None
 
 
-def svd(a) -> Svd:
-    """Full SVD of a dense complex matrix."""
-    m = as_cmat(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
-        ) from exc
-    return Svd(u, s, vh)
-
-
-def rank_cutoff(f: Svd, tol: Tol, scale: float | None = None) -> float:
-    """Rank-decision bound ``rank_rtol * reference * max(m, n)``; the reference is
-    sigma_max, raised to ``scale`` when a hint is given (see ``pinv``)."""
-    top = float(f.s[0]) if f.s.size else 0.0
-    reference = max(top, scale) if scale is not None else top
-    return tol.rank_rtol * reference * max(f.u.shape[0], f.vh.shape[0])
-
-
-def rank_of(a, tol: Tol = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative rank cutoff."""
-    f = svd(a)
-    return int(np.count_nonzero(f.s > rank_cutoff(f, tol)))
-
-
-def pinv(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
+    """Validate and factor ``a``; the one rank decision of the package.
 
     Singular values at or below ``rank_rtol * sigma_max * max(m, n)`` are
     treated as zero.  For derived matrices that may be pure rounding noise
     (differences, products with projectors), pass the norm of the parent
     data as ``scale``: the cutoff then uses ``max(sigma_max, scale)``, so a
     numerically-zero input inverts to zero instead of amplifying noise.
+
+    A Factor made with the same (tol, scale) is returned as it is, neither
+    validated nor factored again; one made with other arguments is factored
+    again from its matrix.
     """
-    f = svd(a)
-    keep = f.s > rank_cutoff(f, tol, scale)
-    inv = np.zeros_like(f.s)
-    inv[keep] = 1.0 / f.s[keep]
-    k = f.s.size
-    v = adj(f.vh)
-    return (v[:, :k] * inv) @ adj(f.u[:, :k])
+    if isinstance(a, Factor):
+        if a.tol == tol and a.scale == scale:
+            return a
+        m = a.m
+    else:
+        m = as_cmat(a)
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
+        ) from exc
+    top = float(s[0]) if s.size else 0.0
+    reference = max(top, scale) if scale is not None else top
+    cutoff = tol.rank_rtol * reference * max(m.shape)
+    keep = s > cutoff
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    k = s.size
+    ap = (adj(vh)[:, :k] * inv) @ adj(u[:, :k])
+    return Factor(m, u, s, vh, int(np.count_nonzero(keep)), cutoff, ap, tol, scale)
+
+
+def pinv(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse: ``factor(a, tol, scale).pinv``."""
+    return factor(a, tol, scale).pinv
 
 
 def projectors(a, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -138,8 +148,8 @@ def projectors(a, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns (a @ a+, a+ @ a, I - a @ a+, I - a+ @ a); each is Hermitian
     idempotent to within res_rtol.
     """
-    m = as_cmat(a)
-    ap = pinv(m, tol)
+    f = factor(a, tol)
+    m, ap = f.m, f.pinv
     p_range = m @ ap
     p_corange = ap @ m
     return (
@@ -180,14 +190,6 @@ def idempotent_defect(a) -> float:
     if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got {m.shape}")
     return rel_residual(m @ m - m, m)
-
-
-def is_projector(p, tol: Tol = DEFAULT_TOL) -> bool:
-    """True when p is Hermitian idempotent to within res_rtol."""
-    m = as_cmat(p)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return hermitian_defect(m) <= tol.res_rtol and idempotent_defect(m) <= tol.res_rtol
 
 
 def square_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:

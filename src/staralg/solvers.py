@@ -19,8 +19,8 @@ from .matcore import (
     Tol,
     adj,
     as_cmat,
+    factor,
     hermitian_defect,
-    pinv,
     rel_residual,
     square_pair,
 )
@@ -29,7 +29,6 @@ from .starorder import require_star_leq, star_residuals
 
 __all__ = [
     "SolutionFamily",
-    "SystemFamily",
     "douglas_solve",
     "sandwich_solve",
     "system_criterion_residual",
@@ -69,10 +68,6 @@ class SolutionFamily:
             mats.append(m)
         return self._apply(*mats)
 
-    def zeros(self) -> list[np.ndarray]:
-        """All-zero parameter list matching ``param_shapes``."""
-        return [np.zeros(shape, dtype=np.complex128) for shape in self.param_shapes]
-
 
 def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """All solutions X of a X = c, i.e. X(T) = a+ c + (I - a+ a) T.
@@ -85,11 +80,12 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
         raise PreconditionError(
             f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
         )
-    ap = pinv(am, tol)
+    ap = factor(a, tol).pinv
     gap = rel_residual(am @ ap @ cm - cm, cm)
     if gap > tol.res_rtol:
         raise UnsolvableError(
-            f"a X = c is unsolvable: range criterion residual {gap:.3e}", residual=gap
+            f"a X = c is unsolvable: range criterion residual {gap:.3e} > res_rtol {tol.res_rtol:g}",
+            residual=gap,
         )
     particular = ap @ cm
     ker = np.eye(am.shape[1], dtype=np.complex128) - ap @ am
@@ -116,12 +112,13 @@ def sandwich_solve(
         raise PreconditionError(
             f"c must be {am.shape[0]}x{bm.shape[1]} for a X b = c, got {cm.shape}"
         )
-    ap = pinv(am, tol, scale=scale)
-    bp = ap if b is a else pinv(bm, tol, scale=scale)
+    ap = factor(a, tol, scale).pinv
+    bp = ap if b is a else factor(b, tol, scale).pinv
     crit = rel_residual(am @ ap @ cm @ bp @ bm - cm, cm)
     if crit > tol.res_rtol:
         raise UnsolvableError(
-            f"a X b = c is unsolvable: criterion residual {crit:.3e}", residual=crit
+            f"a X b = c is unsolvable: criterion residual {crit:.3e} > res_rtol {tol.res_rtol:g}",
+            residual=crit,
         )
     particular = ap @ cm @ bp
     left = ap @ am
@@ -136,7 +133,7 @@ def sandwich_solve(
 def system_criterion_residual(a, b, tol: Tol = DEFAULT_TOL) -> float:
     """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
     am, bm, _ = square_pair(a, b)
-    ap = pinv(am, tol)
+    ap = factor(a, tol).pinv
     return rel_residual(am @ ap @ bm @ ap @ am - bm, bm)
 
 
@@ -150,7 +147,7 @@ def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
     h = hermitian_defect(bm)
     if h > tol.res_rtol:
         raise PreconditionError(f"b must be self-adjoint (defect {h:.3e})")
-    return system_criterion_residual(am, bm, tol) <= tol.res_rtol
+    return system_criterion_residual(a, bm, tol) <= tol.res_rtol
 
 
 def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -159,14 +156,7 @@ def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float
     return rel_residual(b @ x @ a - b, b), rel_residual(a @ x @ b - b, b)
 
 
-@dataclass(frozen=True)
-class SystemFamily(SolutionFamily):
-    """The system's solution family plus a+, which solves the system too (Prop. 3.3)."""
-
-    pinv_a: np.ndarray
-
-
-def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SystemFamily:
+def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """The closed-form solution family of b X a = b = a X b, in parameters (s, t).
 
     With d = a - b, the family is
@@ -179,20 +169,21 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SystemFamily:
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
     projectors of b and d sum to a a+.  Under the order a and b also have a
     simultaneous SVD in which b keeps a subset of a's singular values
-    (Hartwig & Drazin 1978), so b+ = a+ b a+: only a is factored, once, at
-    construction.  When a == b, d = 0 removes the s term and
-    X(s, t) = b+ + t - (a+ a) t (a a+).
+    (Hartwig & Drazin 1978), so b+ = a+ b a+: only a is factored, once, after
+    the order check, and a caller that holds a's Factor (whose ``pinv`` also
+    solves the system, Prop. 3.3) passes it as a.  When a == b, d = 0 removes
+    the s term and X(s, t) = b+ + t - (a+ a) t (a a+).
     """
     am, bm, n = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_family requires b <=* a")
-    ap = pinv(am, tol)
+    ap = factor(a, tol).pinv
     bp = ap @ bm @ ap
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         dp = ap - bp
         return bp + (dp @ (am - bm)) @ s @ dp + t - (ap @ am) @ t @ (am @ ap)
 
-    return SystemFamily(bp, ((n, n), (n, n)), apply, ap)
+    return SolutionFamily(bp, ((n, n), (n, n)), apply)
 
 
 def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -205,7 +196,7 @@ def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         raise PreconditionError(
             f"parameters must be {n}x{n}, got {sm.shape} and {tm.shape}"
         )
-    return system_family(am, bm, tol).instantiate([sm, tm])
+    return system_family(a, bm, tol).instantiate([sm, tm])
 
 
 def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
@@ -249,7 +240,7 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         raise PreconditionError(
             f"x_big does not solve the system (residuals {r_bxa:.3e}, {r_axb:.3e})"
         )
-    ap = pinv(am, tol)
+    ap = factor(a, tol).pinv
     return ap @ am @ xm @ am @ ap
 
 
@@ -270,8 +261,8 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
         if mat.shape != (n, n):
             raise PreconditionError(f"{name} must be {n}x{n}, got {mat.shape}")
 
-    ap = pinv(am, tol)
-    bp = ap if b is a else pinv(bm, tol)
+    ap = factor(a, tol).pinv
+    bp = ap if b is a else factor(b, tol).pinv
     conditions = (
         ("range_c", rel_residual(am @ ap @ cm - cm, cm)),
         ("corange_d", rel_residual(dm @ bp @ bm - dm, dm)),
@@ -282,7 +273,8 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     for name, res in conditions:
         if res > tol.res_rtol:
             raise UnsolvableError(
-                f"no hermitian solution: condition {name} fails (residual {res:.3e})",
+                f"no hermitian solution: condition {name} fails "
+                f"(residual {res:.3e} > res_rtol {tol.res_rtol:g})",
                 residual=res,
             )
     hw = hermitian_defect(wm)
@@ -293,7 +285,7 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     ker = eye - ap @ am                # I - a+ a
     m = adj(bm) @ ker
     # m collapses to rounding noise whenever range(b*) sits inside range(a*)
-    mp = pinv(m, tol, scale=float(np.linalg.norm(bm)))
+    mp = factor(m, tol, scale=float(np.linalg.norm(bm))).pinv
     schur = adj(dm) - adj(bm) @ ap @ cm
     ker_m = eye - mp @ m               # I - m+ m
     base = ap @ cm + ker @ mp @ schur
@@ -309,8 +301,8 @@ def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     am, bm, _ = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_hermitian requires b <=* a")
-    ap = pinv(am, tol)
-    return hermitian_system_solve(bm, bm, bm @ ap, ap @ bm, w_hermitian, tol)
+    ap = factor(a, tol).pinv
+    return hermitian_system_solve(b, b, bm @ ap, ap @ bm, w_hermitian, tol)
 
 
 def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
@@ -326,8 +318,8 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     xm = as_cmat(x)
     if xm.shape != (n, n):
         raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
-    ap = pinv(am, tol)
-    bp = pinv(bm, tol)
+    ap = factor(a, tol).pinv
+    bp = factor(b, tol).pinv
     eye = np.eye(n, dtype=np.complex128)
 
     ra_in_rb = rel_residual(bm @ bp @ am - am, am)

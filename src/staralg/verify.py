@@ -44,6 +44,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tol,
     adj,
+    factor,
     hermitian_defect,
     idempotent_defect,
     meet_projector,
@@ -51,7 +52,6 @@ from .matcore import (
     projectors,
     rel_residual,
     square_pair,
-    svd,
 )
 from .report import Check, Report, check_flag, check_ge, check_le
 from .solvers import (
@@ -202,8 +202,9 @@ def _suite_penrose(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
 def _suite_douglas(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
+    fa = factor(a, tol)
     c = a @ rng.complex_gaussian(n, n)
-    fam = douglas_solve(a, c, tol)
+    fam = douglas_solve(fa, c, tol)
     checks = [
         check_le("particular", rel_residual(a @ fam.particular - c, c), tol.res_rtol)
     ]
@@ -211,7 +212,7 @@ def _suite_douglas(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
         x = fam.instantiate([rng.complex_gaussian(n, n)])
         checks.append(check_le(f"draw{j}", rel_residual(a @ x - c, c), tol.res_rtol))
     if r < n:
-        crit = _rejection(douglas_solve, a, rng.complex_gaussian(n, n), tol)
+        crit = _rejection(douglas_solve, fa, rng.complex_gaussian(n, n), tol)
         checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
         checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
@@ -232,13 +233,14 @@ def _suite_lem2_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
 def _suite_thm2_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     r = rng.randint(n)  # rank-deficient so a negative instance exists
     a = rank_r(rng, n, n, r)
-    ap = pinv(a, tol)
+    fa = factor(a, tol)
+    ap = fa.pinv
     meet = meet_projector(a @ ap, ap @ a, tol)
     b_pos = thm23_instance(rng, meet, True)
     b_neg = thm23_instance(rng, meet, False)
 
-    crit_pos = system_criterion_residual(a, b_pos, tol)
-    crit_neg = system_criterion_residual(a, b_neg, tol)
+    crit_pos = system_criterion_residual(fa, b_pos, tol)
+    crit_neg = system_criterion_residual(fa, b_neg, tol)
     oracle_pos = _oracle_rel(a, b_pos)
     oracle_neg = _oracle_rel(a, b_neg)
     agree = (crit_pos <= tol.res_rtol) == (oracle_pos <= tol.res_rtol) and (
@@ -257,12 +259,12 @@ def _suite_thm2_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
 def _suite_prop2_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    f = svd(a)
-    u_r = f.u[:, :r]
-    v_r = adj(f.vh)[:, :r]
+    fa = factor(a, tol)
+    u_r = fa.u[:, :r]
+    v_r = adj(fa.vh)[:, :r]
     b = u_r @ invertible(rng, r) @ adj(v_r) if r else _zeros(n)
-    x = _inner_inverse(rng, a, pinv(a, tol))
-    rep = prop_main_check(a, b, x, tol)
+    x = _inner_inverse(rng, a, fa.pinv)
+    rep = prop_main_check(fa, b, x, tol)
     rep_rand = prop_main_check(
         rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), tol
     )
@@ -279,9 +281,10 @@ def _suite_prop3_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     r = rng.randint(n + 1)
     k = rng.randint(n - r + 1)
     big, small = star_pair(rng, n, r, k, False)
-    fam = system_family(big, small, tol)
+    fbig = factor(big, tol)
+    fam = system_family(fbig, small, tol)
     return (
-        *_solves("pinv_a", big, small, fam.pinv_a, tol),
+        *_solves("pinv_a", big, small, fbig.pinv, tol),
         *_solves("pinv_b", big, small, fam.particular, tol),
     )
 
@@ -337,10 +340,11 @@ def _suite_rem3_5(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
 
 def _suite_thm3_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n)
-    fam = system_family(big, small, tol)
+    fbig = factor(big, tol)
+    fam = system_family(fbig, small, tol)
     xg = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
     checks = []
-    for name, x in (("pinv_a", fam.pinv_a), ("pinv_b", fam.particular), ("general", xg)):
+    for name, x in (("pinv_a", fbig.pinv), ("pinv_b", fam.particular), ("general", xg)):
         rep = solves_system(big, small, x, tol)
         checks.append(check_flag(f"{name}_solves_and_dominated", rep.verdict))
     for j in range(3):
@@ -357,15 +361,16 @@ def _suite_lem3_7(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     r2 = 1 + rng.randint(n)
     a = rank_r(rng, n, n, r1)
     b = rank_r(rng, n, n, r2)
+    fa, fb = factor(a, tol), factor(b, tol)
     c = a @ rng.complex_gaussian(n, n) @ b
-    fam = sandwich_solve(a, c, b, tol)
+    fam = sandwich_solve(fa, c, fb, tol)
     checks = [
         check_le("particular", rel_residual(a @ fam.particular @ b - c, c), tol.res_rtol)
     ]
     for j in range(2):
         x = fam.instantiate([rng.complex_gaussian(n, n)])
         checks.append(check_le(f"draw{j}", rel_residual(a @ x @ b - c, c), tol.res_rtol))
-    crit = _rejection(sandwich_solve, a, rng.complex_gaussian(n, n), b, tol)
+    crit = _rejection(sandwich_solve, fa, rng.complex_gaussian(n, n), fb, tol)
     checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
     checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
@@ -377,22 +382,24 @@ def _suite_thm3_8(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     draws = [(_zeros(n), _zeros(n))] + [
         (rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)) for _ in range(5)
     ]
-    fam = system_family(big, small, tol)
+    fbig = factor(big, tol)
+    fam = system_family(fbig, small, tol)
     for j, (s, t) in enumerate(draws):
         checks.extend(_solves(f"draw{j}", big, small, fam.instantiate([s, t]), tol))
     s, t = rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
     for name, b in (("equal_case", big), ("zero_case", _zeros(n))):
-        x = system_general(big, b, s, t, tol)
+        x = system_general(fbig, b, s, t, tol)
         checks.append(check_le(name, max(system_residuals(big, b, x)), tol.res_rtol))
     return tuple(checks)
 
 
 def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n)
-    fam = system_family(big, small, tol)
+    fbig = factor(big, tol)
+    fam = system_family(fbig, small, tol)
     x_big = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
-    y = reduce_system(big, small, x_big, tol)
-    ap = fam.pinv_a
+    y = reduce_system(fbig, small, x_big, tol)
+    ap = fbig.pinv
     target_left = ap @ small
     target_right = small @ ap
     bp = fam.particular
@@ -407,9 +414,10 @@ def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
 
 def _suite_thm3_11(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n, hermitian=True)
+    fbig, fsmall = factor(big, tol), factor(small, tol)
     checks = []
     for name, w in (("w0", _zeros(n)), ("wh", rng.hermitian_gaussian(n))):
-        x = system_hermitian(big, small, w, tol)
+        x = system_hermitian(fbig, fsmall, w, tol)
         checks.append(check_le(f"{name}_hermitian", hermitian_defect(x), tol.res_rtol))
         checks.extend(_solves(name, big, small, x, tol))
     return tuple(checks)
@@ -433,13 +441,13 @@ def _mixing_projector(u: np.ndarray) -> np.ndarray:
 def _suite_prop4_1(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     rb = 2 + rng.randint(n - 1)
     b = rank_r(rng, n, n, rb)
-    f = svd(b)
-    v = adj(f.vh)
+    fb = factor(b, tol)
+    v = adj(fb.vh)
     checks = []
-    for side, basis in (("left", f.u), ("right", v)):
-        rep = projector_char(_aligned_projector(rng, basis, rb), b, side, tol)
+    for side, basis in (("left", fb.u), ("right", v)):
+        rep = projector_char(_aligned_projector(rng, basis, rb), fb, side, tol)
         checks.append(check_flag(f"{side}_pos_verdict", rep.verdict))
-        rep_neg = projector_char(_mixing_projector(basis), b, side, tol)
+        rep_neg = projector_char(_mixing_projector(basis), fb, side, tol)
         checks.append(check_ge(f"{side}_neg_commute", rep_neg.residual("commute"), NEG_FLOOR, tol.res_rtol))
         star = _worst(rep_neg, "star_left", "star_right")
         checks.append(check_ge(f"{side}_neg_star", star, NEG_FLOOR, tol.res_rtol))
@@ -450,17 +458,17 @@ def _suite_prop4_1(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
 def _suite_prop4_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     rb = 2 + rng.randint(n - 1)
     b = rank_r(rng, n, n, rb)
-    f = svd(b)
-    v = adj(f.vh)
+    fb = factor(b, tol)
+    v = adj(fb.vh)
     mask = rng.bits(rb)
     if not mask.any():
         mask[0] = True
-    us = f.u[:, :rb][:, mask]
+    us = fb.u[:, :rb][:, mask]
     vs = v[:, :rb][:, mask]
-    rep = pbq_char(us @ adj(us), b, vs @ adj(vs), tol)
+    rep = pbq_char(us @ adj(us), fb, vs @ adj(vs), tol)
     checks = [check_flag("pos_verdict", rep.verdict)]
     q_full = v[:, :rb] @ adj(v[:, :rb])
-    rep_neg = pbq_char(_mixing_projector(f.u), b, q_full, tol)
+    rep_neg = pbq_char(_mixing_projector(fb.u), fb, q_full, tol)
     commute = _worst(rep_neg, "commute_range", "commute_corange")
     checks.append(check_ge("neg_commute", commute, NEG_FLOOR, tol.res_rtol))
     star = _worst(rep_neg, "star_left", "star_right")
@@ -598,10 +606,11 @@ def _suite_prop4_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     eye = np.eye(n, dtype=np.complex128)
     ib = eye - b
     a = b + ib @ rng.complex_gaussian(n, n) @ ib
-    rep = common_lower_bound(a, c, b, tol)
+    fc = factor(c, tol)
+    rep = common_lower_bound(a, fc, b, tol)
     checks = [check_flag("pos_verdict", rep.verdict)]
     b_bad = 0.5 * b
-    rep_neg = common_lower_bound(a, c, b_bad, tol)
+    rep_neg = common_lower_bound(a, fc, b_bad, tol)
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     checks.append(
         check_flag(
@@ -629,12 +638,13 @@ def _suite_inverse_along(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple
 def _suite_oracle_agreement(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    ap = pinv(a, tol)
+    fa = factor(a, tol)
+    ap = fa.pinv
     b_structured = (a @ ap) @ rng.complex_gaussian(n, n) @ (ap @ a)
     b_raw = rng.complex_gaussian(n, n)
     checks = []
     for name, b in (("structured", b_structured), ("raw", b_raw)):
-        direct = system_criterion_residual(a, b, tol)
+        direct = system_criterion_residual(fa, b, tol)
         oracle = _oracle_rel(a, b)
         direct_ok = direct <= tol.res_rtol
         oracle_ok = oracle <= tol.res_rtol

@@ -9,20 +9,20 @@ from staralg import (
     Seed,
     SplitMix64,
     adj,
+    factor,
     gen_gp,
     gen_idempotent,
     gen_rank_r,
     gen_star_pair,
     gen_thm23_instance,
-    gen_unitary,
     gp_check,
     hermitian_defect,
     idempotent_defect,
-    rank_of,
     rel_residual,
     star_leq,
     system_criterion_residual,
 )
+from staralg.genlab import unitary
 
 
 def test_seed_validation():
@@ -59,7 +59,7 @@ def test_normals_moments():
 
 
 @pytest.mark.parametrize("maker", [
-    lambda s: gen_unitary(5, s),
+    lambda s: unitary(SplitMix64(s), 5),
     lambda s: gen_rank_r(4, 6, 2, s),
     lambda s: gen_star_pair(5, 2, 1, s)[0],
     lambda s: gen_gp(4, (1, 1, 1), s),
@@ -74,10 +74,10 @@ def test_generators_are_bit_deterministic(maker):
 
 def test_gen_unitary():
     for n in (1, 3, 6):
-        u = gen_unitary(n, Seed(10 + n))
+        u = unitary(SplitMix64(Seed(10 + n)), n)
         eye = np.eye(n)
         assert rel_residual(adj(u) @ u - eye, eye) <= 1e-12
-    scalar = gen_unitary(1, Seed(3))
+    scalar = unitary(SplitMix64(Seed(3)), 1)
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-12
 
 
@@ -85,7 +85,7 @@ def test_gen_rank_r_grid():
     for m, n in [(3, 3), (4, 6), (5, 2)]:
         for r in range(min(m, n) + 1):
             a = gen_rank_r(m, n, r, Seed(100 * m + 10 * n + r))
-            assert rank_of(a) == r
+            assert factor(a).rank == r
             if r:
                 s = np.linalg.svd(a, compute_uv=False)[:r]
                 assert np.all(s >= 0.5 - 1e-9) and np.all(s <= 2.0 + 1e-9)
@@ -101,8 +101,8 @@ def test_gen_star_pair_grid():
             for k in range(n - r + 1):
                 big, small = gen_star_pair(n, r, k, Seed(17), hermitian)
                 assert star_leq(small, big)
-                assert rank_of(small) == r
-                assert rank_of(big) == r + k
+                assert factor(small).rank == r
+                assert factor(big).rank == r + k
                 if hermitian:
                     assert hermitian_defect(big) <= 1e-12
                     assert hermitian_defect(small) <= 1e-12

@@ -7,20 +7,20 @@ from staralg import (
     DEFAULT_TOL,
     PreconditionError,
     Seed,
+    SplitMix64,
     Tol,
     adj,
     as_cmat,
+    factor,
     gen_rank_r,
-    gen_unitary,
     hermitian_defect,
     idempotent_defect,
     meet_projector,
     pinv,
     projectors,
-    rank_of,
     rel_residual,
-    svd,
 )
+from staralg.genlab import unitary
 
 
 def seeded_matrices(count=200, max_dim=8):
@@ -79,15 +79,49 @@ def test_pinv_scale_hint_zeroes_noise():
 
 
 def test_rank_of():
-    assert rank_of(np.zeros((3, 3))) == 0
-    assert rank_of(np.eye(4)) == 4
+    assert factor(np.zeros((3, 3))).rank == 0
+    assert factor(np.eye(4)).rank == 4
     outer = np.outer([1.0, 1.0j, 2.0], [2.0, 1.0, 1.0])
     # rank-1 by construction; cross-check against a raw SVD count
     s = np.linalg.svd(outer, compute_uv=False)
     assert int(np.sum(s > 1e-12 * s[0] * 3)) == 1
-    assert rank_of(outer) == 1
+    f = factor(outer)
+    assert f.rank == 1
+    assert f.cutoff == 1e-12 * f.s[0] * 3
     for a, r in seeded_matrices(count=80):
-        assert rank_of(a) == r
+        assert factor(a).rank == r
+
+
+def test_factor_of_a_factor_is_itself():
+    a = gen_rank_r(5, 5, 3, Seed(61))
+    f = factor(a, DEFAULT_TOL)
+    assert factor(f, DEFAULT_TOL) is f
+    assert factor(f, Tol()) is f  # an equal policy
+    assert as_cmat(f) is f.m
+    assert pinv(f) is f.pinv
+
+
+def test_factor_with_other_arguments_refactors_the_matrix():
+    # s[2] of this matrix lies between the cutoffs of the two policies
+    a = np.diag([1.0, 1e-6, 1e-10, 0.0]).astype(complex)
+    f = factor(a)
+    loose = Tol(rank_rtol=1e-8)
+    g = factor(f, loose)
+    ref = factor(a, loose)
+    assert (f.rank, g.rank) == (3, 2)
+    assert g.rank == ref.rank and g.cutoff == ref.cutoff
+    assert g.tol == loose and g.scale is None
+    assert g.m is f.m
+    for name in ("u", "s", "vh", "pinv"):
+        assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
+    hinted = factor(f, DEFAULT_TOL, 1e3)
+    assert hinted.scale == 1e3 and hinted.rank == 2
+
+
+def test_pinv_is_the_factor_pinv():
+    for a, _ in seeded_matrices(count=40):
+        assert pinv(a).tobytes() == factor(a).pinv.tobytes()
+        assert pinv(a, scale=10.0).tobytes() == factor(a, DEFAULT_TOL, 10.0).pinv.tobytes()
 
 
 def test_projectors_examples():
@@ -124,8 +158,8 @@ def test_meet_projector_examples():
 
 def test_meet_projector_dominated_by_both():
     for i in range(30):
-        u = gen_unitary(5, Seed(3000 + i))
-        v = gen_unitary(5, Seed(4000 + i))
+        u = unitary(SplitMix64(Seed(3000 + i)), 5)
+        v = unitary(SplitMix64(Seed(4000 + i)), 5)
         p = u[:, :3] @ adj(u[:, :3])
         q = v[:, :2] @ adj(v[:, :2])
         m = meet_projector(p, q)
@@ -169,7 +203,7 @@ def test_as_cmat_rejects_bad_input():
 
 def test_svd_reconstruction():
     for a, _ in seeded_matrices(count=40):
-        f = svd(a)
+        f = factor(a)
         k = f.s.size
         rebuilt = (f.u[:, :k] * f.s) @ f.vh[:k, :]
         assert rel_residual(rebuilt - a, a) <= 1e-12

@@ -11,14 +11,21 @@ from staralg import (
     Seed,
     SplitMix64,
     UnsolvableError,
+    common_lower_bound,
     douglas_solve,
+    factor,
     gen_rank_r,
+    gen_gp,
     gen_star_pair,
+    gp_check,
     hermitian_defect,
     hermitian_system_solve,
     lsq_oracle,
+    pbq_char,
     pinv,
+    projector_char,
     prop_main_check,
+    range_inclusion_residual,
     reduce_system,
     rel_residual,
     sandwich_solve,
@@ -72,6 +79,8 @@ def test_douglas_unsolvable():
     with pytest.raises(UnsolvableError) as excinfo:
         douglas_solve(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert excinfo.value.residual > 1e-5
+    # the message names the threshold the residual failed
+    assert str(excinfo.value).endswith(f"{excinfo.value.residual:.3e} > res_rtol 1e-08")
 
 
 def test_douglas_soundness_and_zero_instantiation():
@@ -81,7 +90,7 @@ def test_douglas_soundness_and_zero_instantiation():
         a = gen_rank_r(n, n, i % (n + 1), Seed(7000 + i))
         c = a @ rng.complex_gaussian(n, n)
         fam = douglas_solve(a, c)
-        assert np.array_equal(fam.instantiate(fam.zeros()), fam.particular)
+        assert np.array_equal(fam.instantiate([zeros(n)]), fam.particular)
         for _ in range(5):
             x = fam.instantiate([rng.complex_gaussian(n, n)])
             assert rel_residual(a @ x - c, c) <= RES
@@ -125,7 +134,7 @@ def test_sandwich_soundness():
         b = gen_rank_r(n, n, 1 + (i // 2) % n, Seed(8500 + i))
         c = a @ rng.complex_gaussian(n, n) @ b
         fam = sandwich_solve(a, c, b)
-        assert np.array_equal(fam.instantiate(fam.zeros()), fam.particular)
+        assert np.array_equal(fam.instantiate([zeros(n)]), fam.particular)
         for _ in range(5):
             x = fam.instantiate([rng.complex_gaussian(n, n)])
             assert rel_residual(a @ x @ b - c, c) <= RES
@@ -151,7 +160,7 @@ def test_system_family_diagonal():
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
     fam = system_family(a, b)
-    xa = fam.pinv_a
+    xa = pinv(a)
     assert np.allclose(xa, np.diag([1.0, 0.5]), atol=1e-14)
     assert np.allclose(b @ xa @ a, b, atol=1e-14)
     xb = fam.particular
@@ -282,7 +291,6 @@ def test_system_family_particular_is_pinv_b():
     for big, small in _seeded_pairs():
         fam = system_family(big, small)
         ap = pinv(big)
-        assert fam.pinv_a.tobytes() == ap.tobytes()
         assert fam.particular.tobytes() == (ap @ small @ ap).tobytes()
         bp = pinv(small)
         assert np.linalg.norm(fam.particular - bp) <= 1e-12 * np.linalg.norm(bp)
@@ -382,7 +390,7 @@ def test_solves_system_zero_b():
 
 def test_solves_system_particular_solution():
     big, small = gen_star_pair(5, 2, 1, Seed(74))
-    x = system_family(big, small).pinv_a
+    x = pinv(big)
     rep = solves_system(big, small, x)
     assert rep.verdict
     assert rep.passed("solves_matches_dominance")
@@ -547,3 +555,62 @@ def test_criterion_oracle_and_pinv_agree():
         x = pinv(a)
         assert rel_residual(b @ x @ a - b, b) <= RES
         assert rel_residual(a @ x @ b - b, b) <= RES
+
+
+# --- operations that take an operand's Factor --------------------------------
+
+
+def _factor_cases():
+    """name -> (call, matrix): each operation that factors an operand, with
+    the operand's slot left open for the matrix or its Factor."""
+    big, small = gen_star_pair(5, 2, 1, Seed(90))
+    hbig, hsmall = gen_star_pair(5, 2, 1, Seed(91), hermitian=True)
+    rng = SplitMix64(Seed(92))
+    a = gen_rank_r(5, 5, 3, Seed(93))
+    b = gen_rank_r(5, 5, 2, Seed(94))
+    c = a @ rng.complex_gaussian(5, 5) @ b
+    w = rng.hermitian_gaussian(5)
+    x = system_general(big, small, w, w)
+    g = gen_gp(5, (2, 1, 0), Seed(95))
+    fb = factor(b)
+    p = fb.u[:, :1] @ fb.u[:, :1].conj().T
+    q = fb.vh[:1, :].conj().T @ fb.vh[:1, :]
+    return {
+        "douglas_solve": (lambda m: douglas_solve(m, c).particular, a),
+        "sandwich_solve_a": (lambda m: sandwich_solve(m, c, b).particular, a),
+        "sandwich_solve_b": (lambda m: sandwich_solve(a, c, m).particular, b),
+        "system_criterion_residual": (lambda m: system_criterion_residual(m, small), big),
+        "system_family": (lambda m: system_family(m, small).particular, big),
+        "system_general": (lambda m: system_general(m, small, w, w), big),
+        "reduce_system": (lambda m: reduce_system(m, small, x), big),
+        "system_hermitian_a": (lambda m: system_hermitian(m, hsmall, w), hbig),
+        "system_hermitian_b": (lambda m: system_hermitian(hbig, m, w), hsmall),
+        "prop_main_check_a": (lambda m: prop_main_check(m, small, x).checks, big),
+        "prop_main_check_b": (lambda m: prop_main_check(big, m, x).checks, small),
+        "range_inclusion_residual": (lambda m: range_inclusion_residual(c, m), a),
+        "projector_char": (lambda m: projector_char(p, m, "left").checks, b),
+        "pbq_char": (lambda m: pbq_char(p, m, q).checks, b),
+        "gp_check": (lambda m: gp_check(m).checks, g),
+        "common_lower_bound": (lambda m: common_lower_bound(g, m, zeros(5)).checks, g),
+    }
+
+
+FACTOR_CASES = _factor_cases()
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_operation_takes_a_factor(svd_calls, name):
+    """Passed its Factor, an operation gives the same bytes and does not
+    factor that operand again."""
+    call, m = FACTOR_CASES[name]
+    f = factor(m)
+    svd_calls.clear()
+    want = call(m)
+    with_matrix = len(svd_calls)
+    svd_calls.clear()
+    got = call(f)
+    assert len(svd_calls) < with_matrix
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)

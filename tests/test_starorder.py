@@ -1,24 +1,23 @@
-"""Order predicate, witness decomposition, and range-inclusion tests."""
+"""Order predicate, block form in the singular bases, and range-inclusion tests."""
 
 import numpy as np
 import pytest
 
 from staralg import (
     DEFAULT_TOL,
-    NotComparableError,
     Seed,
     SplitMix64,
     adj,
+    factor,
     gen_rank_r,
     gen_star_pair,
-    gen_unitary,
     projectors,
-    range_included,
+    range_inclusion_residual,
     rel_residual,
     star_leq,
-    star_leq_witness,
     star_residuals,
 )
+from staralg.genlab import unitary
 
 
 def test_zero_is_least():
@@ -54,8 +53,8 @@ def test_antisymmetric_up_to_residual():
 
 
 def test_transitive_on_nested_blocks():
-    u = gen_unitary(6, Seed(5))
-    v = gen_unitary(6, Seed(6))
+    u = unitary(SplitMix64(Seed(5)), 6)
+    v = unitary(SplitMix64(Seed(6)), 6)
     d_a = np.diag([1.1, 0.7, 0, 0, 0, 0]).astype(complex)
     d_b = np.diag([1.1, 0.7, 1.5, 0, 0, 0]).astype(complex)
     d_c = np.diag([1.1, 0.7, 1.5, 0.9, 1.3, 0]).astype(complex)
@@ -89,16 +88,16 @@ def test_doubly_included_matrix_vanishes_on_null_blocks():
     for i in range(50):
         a = gen_rank_r(6, 6, 1 + i % 5, Seed(3000 + i))
         b = a @ rng.complex_gaussian(6, 6) @ a
-        assert range_included(b, a)
-        assert range_included(adj(b), adj(a))
+        assert range_inclusion_residual(b, a) <= DEFAULT_TOL.res_rtol
+        assert range_inclusion_residual(adj(b), adj(a)) <= DEFAULT_TOL.res_rtol
         _, _, p_null_left, p_null_right = projectors(a)
         assert rel_residual(p_null_left @ b, b) <= DEFAULT_TOL.res_rtol
         assert rel_residual(b @ p_null_right, b) <= DEFAULT_TOL.res_rtol
 
 
 def test_unitary_invariance():
-    u = gen_unitary(5, Seed(8))
-    v = gen_unitary(5, Seed(9))
+    u = unitary(SplitMix64(Seed(8)), 5)
+    v = unitary(SplitMix64(Seed(9)), 5)
     big, small = gen_star_pair(5, 2, 2, Seed(10))
     rng = SplitMix64(Seed(11))
     x, y = rng.complex_gaussian(5, 5), rng.complex_gaussian(5, 5)
@@ -106,48 +105,60 @@ def test_unitary_invariance():
         assert star_leq(a, b) == star_leq(u @ a @ adj(v), u @ b @ adj(v))
 
 
+def _block_witness(a, b):
+    """Block form of a <=* b in the singular bases of a (Hartwig & Drazin 1978):
+    returns a's Factor, the block of b on a's null spaces, and the residual of
+    b - a minus that block, which vanishes exactly when a <=* b."""
+    f = factor(a)
+    u_null = f.u[:, f.rank:]
+    v_null = adj(f.vh)[:, f.rank:]
+    b1 = adj(u_null) @ b @ v_null
+    return f, b1, rel_residual(b - a - u_null @ b1 @ adj(v_null), b)
+
+
 def test_witness_equal_pair():
     a = np.diag([1.0, 0.0])
-    w = star_leq_witness(a, a)
-    assert w.a1.shape == (1, 1)
-    assert np.allclose(w.a1, [[1.0]])
-    assert w.b1.shape == (1, 1)
-    assert abs(w.b1[0, 0]) <= 1e-12
-    assert w.residual <= 1e-12
+    f, b1, residual = _block_witness(a, a)
+    assert f.rank == 1
+    assert np.allclose(f.s[:1], [1.0])
+    assert b1.shape == (1, 1)
+    assert abs(b1[0, 0]) <= 1e-12
+    assert residual <= 1e-12
 
 
 def test_witness_zero_smaller():
     rng = SplitMix64(Seed(21))
     b = rng.complex_gaussian(3, 3)
-    w = star_leq_witness(np.zeros((3, 3)), b)
-    assert w.a1.shape == (0, 0)
-    rebuilt = w.u_left[:, 0:] @ w.b1 @ adj(w.u_right[:, 0:])
+    f, b1, residual = _block_witness(np.zeros((3, 3)), b)
+    assert f.rank == 0
+    rebuilt = f.u @ b1 @ f.vh
     assert rel_residual(rebuilt - b, b) <= 1e-12
-    assert w.residual <= 1e-12
+    assert residual <= 1e-12
 
 
 def test_witness_recovers_generated_pair():
     big, small = gen_star_pair(5, 2, 2, Seed(1))
-    w = star_leq_witness(small, big)
-    assert w.residual <= 1e-10
+    f, b1, residual = _block_witness(small, big)
+    assert residual <= 1e-10
     eye = np.eye(5)
-    assert rel_residual(w.u_left @ adj(w.u_left) - eye, eye) <= DEFAULT_TOL.res_rtol
-    assert rel_residual(w.u_right @ adj(w.u_right) - eye, eye) <= DEFAULT_TOL.res_rtol
-    r = w.a1.shape[0]
-    small_rebuilt = w.u_left[:, :r] @ w.a1 @ adj(w.u_right[:, :r])
+    assert rel_residual(f.u @ adj(f.u) - eye, eye) <= DEFAULT_TOL.res_rtol
+    assert rel_residual(f.vh @ adj(f.vh) - eye, eye) <= DEFAULT_TOL.res_rtol
+    r = f.rank
+    assert r == 2
+    small_rebuilt = (f.u[:, :r] * f.s[:r]) @ f.vh[:r]
     assert rel_residual(small_rebuilt - small, small) <= 1e-10
     block = np.zeros((5, 5), dtype=complex)
-    block[:r, :r] = w.a1
-    block[r:, r:] = w.b1
-    big_rebuilt = w.u_left @ block @ adj(w.u_right)
+    block[:r, :r] = np.diag(f.s[:r])
+    block[r:, r:] = b1
+    big_rebuilt = f.u @ block @ f.vh
     assert rel_residual(big_rebuilt - big, big) <= 1e-10
 
 
 def test_witness_rejects_incomparable():
-    with pytest.raises(NotComparableError) as excinfo:
-        star_leq_witness(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
-    r1, r2 = excinfo.value.residuals
-    assert r1 > DEFAULT_TOL.res_rtol or r2 > DEFAULT_TOL.res_rtol
+    a, b = np.diag([1.0, 0.0]), np.diag([2.0, 0.0])
+    _, _, residual = _block_witness(a, b)
+    assert residual > DEFAULT_TOL.res_rtol
+    assert not star_leq(a, b)
 
 
 def test_star_residuals_values():
@@ -156,19 +167,20 @@ def test_star_residuals_values():
 
 
 def test_range_included():
+    rt = DEFAULT_TOL.res_rtol
     a = gen_rank_r(5, 5, 3, Seed(31))
-    assert range_included(a, a)
-    assert not range_included(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    assert range_inclusion_residual(a, a) <= rt
+    assert range_inclusion_residual(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])) > rt
     rng = SplitMix64(Seed(32))
     for i in range(100):
         a = gen_rank_r(5, 5, 1 + i % 5, Seed(5000 + i))
         y = rng.complex_gaussian(5, 3)
-        assert range_included(a @ y, a)
+        assert range_inclusion_residual(a @ y, a) <= rt
 
 
 def test_range_included_shape_check():
     with pytest.raises(Exception):
-        range_included(np.eye(3), np.eye(2))
+        range_inclusion_residual(np.eye(3), np.eye(2))
 
 
 def test_invertible_below_forces_equality():

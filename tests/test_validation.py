@@ -8,6 +8,7 @@ from staralg import (
     PreconditionError,
     Seed,
     StaralgError,
+    factor,
     gen_star_pair,
     hermitian_defect,
     idempotent_defect,
@@ -15,7 +16,6 @@ from staralg import (
     pinv,
     rel_residual,
     star_residuals,
-    svd,
     system_general,
     system_solvable,
 )
@@ -32,7 +32,7 @@ BAD = {
 
 CALLS = {
     "pinv": lambda m: pinv(m),
-    "svd": lambda m: svd(m),
+    "factor": lambda m: factor(m),
     "rel_residual_e": lambda m: rel_residual(m, GOOD),
     "rel_residual_scale": lambda m: rel_residual(GOOD, m),
     "star_residuals_a": lambda m: star_residuals(m, GOOD),
