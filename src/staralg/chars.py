@@ -23,6 +23,7 @@ from .matcore import (
     idempotent_defect,
     rel_residual,
     require_projector,
+    square,
     square_pair,
 )
 from .report import Check, Report, check_flag, check_le
@@ -34,7 +35,6 @@ __all__ = [
     "pbq_char",
     "deng_decompose",
     "gp_check",
-    "is_generalized_projection",
     "gp_decompose",
     "meet_split",
     "idempotent_split",
@@ -65,9 +65,8 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
     range(p) <= range(b)); ``side="right"`` tests b p against commutation of
     p with b* b (requires range(p) <= range(b*)).
     """
-    pm = as_cmat(p)
+    pm = require_projector(p, tol, "p")
     bm = as_cmat(b)
-    require_projector(pm, tol, "p")
     if side == "left":
         _require_range_in(pm, b, tol, "p", "b")
         gram = bm @ adj(bm)
@@ -95,11 +94,9 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
 def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     """Two-sided compression test: p b q <=* b iff the two commutation
     identities p b q b* = b q b* p and q b* p b = b* p b q hold."""
-    pm = as_cmat(p)
+    pm = require_projector(p, tol, "p")
     bm = as_cmat(b)
-    qm = as_cmat(q)
-    require_projector(pm, tol, "p")
-    require_projector(qm, tol, "q")
+    qm = require_projector(q, tol, "q")
     _require_range_in(pm, b, tol, "p", "b")
     _require_range_in(qm, adj(bm), tol, "q", "b*")
 
@@ -132,11 +129,13 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     defect = idempotent_defect(cm)
     if defect > tol.res_rtol:
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
-    outer = np.eye(n, dtype=np.complex128) - adj(cm)
-    # I - c* may be rounding noise (c close to the identity)
-    scale = max(1.0, float(np.linalg.norm(cm)))
+    # I - c* may be rounding noise (c close to the identity): hint its rank
+    # decision with the scale of c
+    outer = factor(
+        np.eye(n, dtype=np.complex128) - adj(cm), tol, max(1.0, float(np.linalg.norm(cm)))
+    )
     try:
-        return sandwich_solve(outer, am - cm, outer, tol, scale=scale)
+        return sandwich_solve(outer, am - cm, outer, tol)
     except UnsolvableError as exc:
         raise UnsolvableError(
             "no decomposition a = c + (I - c*) X (I - c*): "
@@ -151,9 +150,7 @@ def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
     Reports the defining defect plus the derived facts that a**3 is the
     orthogonal projector onto range(a).  All residuals are relative to a.
     """
-    am = as_cmat(a)
-    if am.shape[0] != am.shape[1]:
-        raise PreconditionError(f"a must be square, got {am.shape}")
+    am = square(a, "a")
     a2 = am @ am
     a3 = a2 @ am
     p_range = am @ factor(a, tol).pinv
@@ -167,15 +164,11 @@ def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
     return Report(suite="gp-check", trial=0, checks=checks)
 
 
-def is_generalized_projection(a, tol: Tol = DEFAULT_TOL) -> bool:
-    return gp_check(a, tol).verdict
-
-
 def gp_decompose(a, b_gp, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Witness X with a = b + (I - b b*) X (I - b* b) for a generalized
     projection b with b <=* a.  X = a itself is such a witness."""
     am, bm, _ = square_pair(a, b_gp)
-    if not is_generalized_projection(bm, tol):
+    if not gp_check(bm, tol).verdict:
         raise PreconditionError("b is not a generalized projection")
     require_star_leq(bm, am, tol, "gp_decompose requires b <=* a")
     return am.copy()
@@ -189,7 +182,7 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     carries the absorption identities a b = b a = a* b = b a* = b.
     """
     am, bm, _ = square_pair(a_gp, b)
-    if not is_generalized_projection(am, tol):
+    if not gp_check(am, tol).verdict:
         raise PreconditionError("a is not a generalized projection")
     require_star_leq(bm, am, tol, "meet_split requires b <=* a")
     require_star_leq(bm, adj(am), tol, "meet_split requires b <=* a*")
@@ -234,7 +227,7 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     """
     am, cm, _ = square_pair(a, c_gp)
     _, bm, _ = square_pair(am, b)
-    if not is_generalized_projection(c_gp, tol):
+    if not gp_check(c_gp, tol).verdict:
         raise PreconditionError("c is not a generalized projection")
     cc = cm @ adj(cm)
     below_a = star_leq(bm, am, tol)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, meet_projector, projectors
+from .matcore import DEFAULT_TOL, Tol, adj, meet_projector, projectors, square
 
 __all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_rank_r", "gen_star_pair", "gen_gp",
            "gen_idempotent", "gen_thm23_instance"]
@@ -290,9 +290,7 @@ def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) ->
     complement of that meet, which is guaranteed to break the criterion;
     requesting a negative for invertible a is an error.
     """
-    am = as_cmat(a)
-    if am.shape[0] != am.shape[1]:
-        raise PreconditionError(f"a must be square, got {am.shape}")
+    am = square(a, "a")
     p_range, p_corange, _, _ = projectors(am, tol)
     meet = meet_projector(p_range, p_corange, tol)
     return thm23_instance(SplitMix64(seed), meet, positive)

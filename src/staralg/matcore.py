@@ -86,8 +86,8 @@ class Factor:
 
     ``m == u @ diag(s) @ vh`` is the full SVD (s padded by zeros); the
     singular values above ``cutoff`` count toward ``rank``, and ``pinv``
-    inverts exactly those.  ``tol`` and ``scale`` are the arguments of
-    ``factor`` that made the decision.
+    inverts exactly those.  ``tol`` and the rank hint ``scale`` made the
+    decision; the hint stays with the operand wherever it is passed.
     """
 
     m: np.ndarray
@@ -110,14 +110,15 @@ def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
     data as ``scale``: the cutoff then uses ``max(sigma_max, scale)``, so a
     numerically-zero input inverts to zero instead of amplifying noise.
 
-    A Factor made with the same (tol, scale) is returned as it is, neither
-    validated nor factored again; one made with other arguments is factored
-    again from its matrix.
+    The hint describes an array; a Factor carries its own.  A Factor made
+    with the same tol is returned as it is, neither validated nor factored
+    again; one made with another tol is factored again from its matrix with
+    its own hint, and ``scale`` is ignored for it.
     """
     if isinstance(a, Factor):
-        if a.tol == tol and a.scale == scale:
+        if a.tol == tol:
             return a
-        m = a.m
+        m, scale = a.m, a.scale
     else:
         m = as_cmat(a)
     try:
@@ -137,9 +138,9 @@ def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
     return Factor(m, u, s, vh, int(np.count_nonzero(keep)), cutoff, ap, tol, scale)
 
 
-def pinv(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse: ``factor(a, tol, scale).pinv``."""
-    return factor(a, tol, scale).pinv
+def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose pseudoinverse: ``factor(a, tol).pinv``."""
+    return factor(a, tol).pinv
 
 
 def projectors(a, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,60 +161,72 @@ def projectors(a, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
-def rel_residual(e, scale) -> float:
-    """Frobenius norm of ``e`` relative to ``max(1, ||scale||_F)``.
+def rel_residual(e, ref) -> float:
+    """Frobenius norm of ``e`` relative to ``max(1, ||ref||_F)``.
 
     The unit clamp keeps residuals meaningful around the zero matrix; this is
     the single residual convention used by every predicate in the package.
     """
-    if not (_is_cmat(e) and _is_cmat(scale)):
-        e, scale = as_cmat(e), as_cmat(scale)
-    num, den = np.linalg.norm(e), np.linalg.norm(scale)
+    if not (_is_cmat(e) and _is_cmat(ref)):
+        e, ref = as_cmat(e), as_cmat(ref)
+    num, den = np.linalg.norm(e), np.linalg.norm(ref)
     if not (math.isfinite(num) and math.isfinite(den)):
         # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
         as_cmat(e)
-        as_cmat(scale)
+        as_cmat(ref)
     return float(num / max(1.0, float(den)))
 
 
-def hermitian_defect(a) -> float:
-    """Relative residual of a - a* for a square matrix a."""
+def square(a, name: str) -> np.ndarray:
+    """``a`` as a matrix; raises PreconditionError, naming the operand,
+    unless it is square."""
     m = as_cmat(a)
     if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got {m.shape}")
-    return rel_residual(m - adj(m), m)
+        raise PreconditionError(f"{name} must be square, got {m.shape}")
+    return m
 
 
-def idempotent_defect(a) -> float:
-    """Relative residual of a@a - a for a square matrix a."""
-    m = as_cmat(a)
-    if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got {m.shape}")
-    return rel_residual(m @ m - m, m)
-
-
-def square_pair(a, b) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both operands as matrices plus their common dimension n; raises
-    PreconditionError unless both are n x n."""
+def square_pair(a, b, **operands) -> tuple:
+    """``(a, b, n, *operands)``: the operands as matrices and their common
+    dimension n; raises PreconditionError unless all of them are n x n."""
     am = as_cmat(a)
     bm = as_cmat(b)
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise PreconditionError(
             f"expected square matrices of one common dimension, got {am.shape} and {bm.shape}"
         )
-    return am, bm, am.shape[0]
+    n = am.shape[0]
+    mats = [as_cmat(m) for m in operands.values()]
+    for name, m in zip(operands, mats):
+        if m.shape != am.shape:
+            raise PreconditionError(f"{name} must be {n}x{n}, got {m.shape}")
+    return (am, bm, n, *mats)
 
 
-def require_projector(p: np.ndarray, tol: Tol, name: str) -> None:
-    if p.shape[0] != p.shape[1]:
-        raise PreconditionError(f"{name} must be square, got {p.shape}")
-    h = hermitian_defect(p)
-    q = idempotent_defect(p)
+def hermitian_defect(a) -> float:
+    """Relative residual of a - a* for a square matrix a."""
+    m = square(a, "a")
+    return rel_residual(m - adj(m), m)
+
+
+def idempotent_defect(a) -> float:
+    """Relative residual of a@a - a for a square matrix a."""
+    m = square(a, "a")
+    return rel_residual(m @ m - m, m)
+
+
+def require_projector(p, tol: Tol, name: str) -> np.ndarray:
+    """``p`` as a matrix; raises PreconditionError unless it is a square
+    orthogonal projector, naming it."""
+    pm = square(p, name)
+    h = hermitian_defect(pm)
+    q = idempotent_defect(pm)
     if h > tol.res_rtol or q > tol.res_rtol:
         raise PreconditionError(
             f"{name} is not an orthogonal projector "
             f"(hermitian defect {h:.3e}, idempotent defect {q:.3e})"
         )
+    return pm
 
 
 def meet_projector(p, q, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -222,10 +235,8 @@ def meet_projector(p, q, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     Uses the Anderson-Duffin form 2 p (p + q)+ q.  The result is dominated by
     both inputs: p @ m == m == q @ m to within res_rtol.
     """
-    pm = as_cmat(p)
-    qm = as_cmat(q)
-    require_projector(pm, tol, "p")
-    require_projector(qm, tol, "q")
+    pm = require_projector(p, tol, "p")
+    qm = require_projector(q, tol, "q")
     if pm.shape != qm.shape:
         raise PreconditionError(f"projector shapes differ: {pm.shape} vs {qm.shape}")
     return 2.0 * pm @ pinv(pm + qm, tol) @ qm

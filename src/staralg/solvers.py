@@ -25,7 +25,7 @@ from .matcore import (
     square_pair,
 )
 from .report import Report, check_flag, check_le
-from .starorder import require_star_leq, star_residuals
+from .starorder import range_inclusion_residual, require_star_leq, star_residuals
 
 __all__ = [
     "SolutionFamily",
@@ -74,14 +74,10 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
 
     Solvable exactly when range(c) <= range(a), tested via a a+ c = c.
     """
-    am = as_cmat(a)
+    fa = factor(a, tol)
+    am, ap = fa.m, fa.pinv
     cm = as_cmat(c)
-    if cm.shape[0] != am.shape[0]:
-        raise PreconditionError(
-            f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
-        )
-    ap = factor(a, tol).pinv
-    gap = rel_residual(am @ ap @ cm - cm, cm)
+    gap = range_inclusion_residual(cm, fa, tol)
     if gap > tol.res_rtol:
         raise UnsolvableError(
             f"a X = c is unsolvable: range criterion residual {gap:.3e} > res_rtol {tol.res_rtol:g}",
@@ -96,14 +92,13 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     return SolutionFamily(particular, ((am.shape[1], cm.shape[1]),), apply)
 
 
-def sandwich_solve(
-    a, c, b, tol: Tol = DEFAULT_TOL, *, scale: float | None = None
-) -> SolutionFamily:
+def sandwich_solve(a, c, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """All solutions X of a X b = c, i.e. X(U) = a+ c b+ + U - a+ a U b b+.
 
-    Solvable exactly when a a+ c b+ b = c.  The scale hint feeds the rank
-    decision of both factors when a and b are derived matrices that may be
-    rounding noise.  One array passed as both a and b is factored once.
+    Solvable exactly when a a+ c b+ b = c.  A derived operand that may be
+    rounding noise is passed as its hinted ``factor(m, tol, scale)``, which
+    keeps its rank decision here; one Factor passed as both a and b is
+    factored once.
     """
     am = as_cmat(a)
     cm = as_cmat(c)
@@ -112,8 +107,8 @@ def sandwich_solve(
         raise PreconditionError(
             f"c must be {am.shape[0]}x{bm.shape[1]} for a X b = c, got {cm.shape}"
         )
-    ap = factor(a, tol, scale).pinv
-    bp = ap if b is a else factor(b, tol, scale).pinv
+    ap = factor(a, tol).pinv
+    bp = factor(b, tol).pinv
     crit = rel_residual(am @ ap @ cm @ bp @ bm - cm, cm)
     if crit > tol.res_rtol:
         raise UnsolvableError(
@@ -189,13 +184,7 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
 def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """``system_family(a, b, tol)`` evaluated at (s, t); a parameter of the
     wrong shape is reported before an order violation."""
-    am, bm, n = square_pair(a, b)
-    sm = as_cmat(s)
-    tm = as_cmat(t)
-    if sm.shape != (n, n) or tm.shape != (n, n):
-        raise PreconditionError(
-            f"parameters must be {n}x{n}, got {sm.shape} and {tm.shape}"
-        )
+    _, bm, _, sm, tm = square_pair(a, b, s=s, t=t)
     return system_family(a, bm, tol).instantiate([sm, tm])
 
 
@@ -206,10 +195,7 @@ def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     an agreement flag alongside the four raw residuals.  Raises only for
     malformed operands (PreconditionError).
     """
-    am, bm, n = square_pair(a, b)
-    xm = as_cmat(x)
-    if xm.shape != (n, n):
-        raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
+    am, bm, _, xm = square_pair(a, b, x=x)
     r_bxa, r_axb = system_residuals(am, bm, xm)
     axa = am @ xm @ am
     d1, d2 = star_residuals(bm, axa)
@@ -231,10 +217,7 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     Returns y = (a+ a) x_big (a a+).  Requires that x_big actually solves
     b X a = b = a X b.
     """
-    am, bm, n = square_pair(a, b)
-    xm = as_cmat(x_big)
-    if xm.shape != (n, n):
-        raise PreconditionError(f"x_big must be {n}x{n}, got {xm.shape}")
+    am, bm, _, xm = square_pair(a, b, x_big=x_big)
     r_bxa, r_axb = system_residuals(am, bm, xm)
     if r_bxa > tol.res_rtol or r_axb > tol.res_rtol:
         raise PreconditionError(
@@ -250,19 +233,13 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     Requires the four solvability conditions (a a+ c = c, d b+ b = d,
     a d = c b, and a c* / b* d Hermitian) plus a Hermitian free parameter w.
     Built from the Schur complement s = d* - b* a+ c of the associated block
-    matrix and m = b* (I - a+ a).  One array passed as both a and b is
-    factored once.
+    matrix and m = b* (I - a+ a).  m vanishes exactly when range(b) <=
+    range(a*), which for a = b holds only for range-Hermitian b, so m is
+    always factored.  One Factor passed as both a and b is factored once.
     """
-    am, bm, n = square_pair(a, b)
-    cm = as_cmat(c)
-    dm = as_cmat(d)
-    wm = as_cmat(w_hermitian)
-    for name, mat in (("c", cm), ("d", dm), ("w", wm)):
-        if mat.shape != (n, n):
-            raise PreconditionError(f"{name} must be {n}x{n}, got {mat.shape}")
-
+    am, bm, n, cm, dm, wm = square_pair(a, b, c=c, d=d, w=w_hermitian)
     ap = factor(a, tol).pinv
-    bp = ap if b is a else factor(b, tol).pinv
+    bp = factor(b, tol).pinv
     conditions = (
         ("range_c", rel_residual(am @ ap @ cm - cm, cm)),
         ("corange_d", rel_residual(dm @ bp @ bm - dm, dm)),
@@ -284,7 +261,7 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     eye = np.eye(n, dtype=np.complex128)
     ker = eye - ap @ am                # I - a+ a
     m = adj(bm) @ ker
-    # m collapses to rounding noise whenever range(b*) sits inside range(a*)
+    # m collapses to rounding noise whenever range(b) sits inside range(a*)
     mp = factor(m, tol, scale=float(np.linalg.norm(bm))).pinv
     schur = adj(dm) - adj(bm) @ ap @ cm
     ker_m = eye - mp @ m               # I - m+ m
@@ -302,7 +279,8 @@ def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     am, bm, _ = square_pair(a, b)
     require_star_leq(bm, am, tol, "system_hermitian requires b <=* a")
     ap = factor(a, tol).pinv
-    return hermitian_system_solve(b, b, bm @ ap, ap @ bm, w_hermitian, tol)
+    fb = factor(b, tol)
+    return hermitian_system_solve(fb, fb, bm @ ap, ap @ bm, w_hermitian, tol)
 
 
 def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
@@ -314,10 +292,7 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     carries both plus an agreement flag.  Raises only for malformed operands
     (PreconditionError).
     """
-    am, bm, n = square_pair(a, b)
-    xm = as_cmat(x)
-    if xm.shape != (n, n):
-        raise PreconditionError(f"x must be {n}x{n}, got {xm.shape}")
+    am, bm, n, xm = square_pair(a, b, x=x)
     ap = factor(a, tol).pinv
     bp = factor(b, tol).pinv
     eye = np.eye(n, dtype=np.complex128)

@@ -50,10 +50,11 @@ def require_star_leq(a: np.ndarray, b: np.ndarray, tol: Tol, what: str) -> None:
 def range_inclusion_residual(c, a, tol: Tol = DEFAULT_TOL) -> float:
     """Residual of a a+ c - c, which vanishes exactly when range(c) <= range(a)."""
     cm = as_cmat(c)
-    am = as_cmat(a)
+    fa = factor(a, tol)
+    am = fa.m
     if cm.shape[0] != am.shape[0]:
         raise PreconditionError(
             f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
         )
-    return rel_residual(am @ factor(a, tol).pinv @ cm - cm, cm)
+    return rel_residual(am @ fa.pinv @ cm - cm, cm)
 

@@ -21,7 +21,6 @@ from staralg import (
     gp_check,
     gp_decompose,
     idempotent_split,
-    is_generalized_projection,
     meet_split,
     pbq_char,
     pinv,
@@ -306,6 +305,6 @@ def test_meet_split_absorption_identities():
         assert rep.passed(name)
 
 
-def test_is_generalized_projection_matches_gp_check():
-    assert is_generalized_projection(np.diag([1.0, OMEGA, 0.0]))
-    assert not is_generalized_projection(np.diag([1.5, 0.0, 0.0]))
+def test_gp_check_verdict_on_diagonals():
+    assert gp_check(np.diag([1.0, OMEGA, 0.0])).verdict
+    assert not gp_check(np.diag([1.5, 0.0, 0.0])).verdict

@@ -321,10 +321,9 @@ def test_solve_system_parameters(tmp_path, capsys):
         assert paths["x"].read_text() == format_matrix(system_general(am, bm, s, t))
 
     for extra, message in (
-        (["--s", str(paths["s3"])], "parameters must be 4x4, got (3, 3) and (4, 4)"),
-        (["--t", str(paths["s3"])], "parameters must be 4x4, got (4, 4) and (3, 3)"),
-        (["--s", str(paths["s"]), "--t", str(paths["s3"])],
-         "parameters must be 4x4, got (4, 4) and (3, 3)"),
+        (["--s", str(paths["s3"])], "s must be 4x4, got (3, 3)"),
+        (["--t", str(paths["s3"])], "t must be 4x4, got (3, 3)"),
+        (["--s", str(paths["s"]), "--t", str(paths["s3"])], "t must be 4x4, got (3, 3)"),
     ):
         assert run(*base, *extra) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -337,7 +336,7 @@ def test_solve_system_parameters(tmp_path, capsys):
     assert "requires b <=* a" in err
     assert err.endswith(" (res_rtol 1e-08)\n")  # the message names the threshold
     assert run(*swapped, "--s", str(paths["s3"])) == 1
-    assert capsys.readouterr().err == "error: parameters must be 4x4, got (3, 3) and (4, 4)\n"
+    assert capsys.readouterr().err == "error: s must be 4x4, got (3, 3)\n"
 
 
 def test_solve_system_factors_only_a(tmp_path, svd_calls):

@@ -75,7 +75,7 @@ def test_pinv_adjoint_commutes():
 def test_pinv_scale_hint_zeroes_noise():
     noise = 1e-15 * gen_rank_r(4, 4, 4, Seed(4))
     assert np.linalg.norm(pinv(noise)) > 1.0  # relative cutoff keeps noise
-    assert np.all(pinv(noise, scale=1.0) == 0)
+    assert np.all(factor(noise, DEFAULT_TOL, 1.0).pinv == 0)
 
 
 def test_rank_of():
@@ -114,14 +114,29 @@ def test_factor_with_other_arguments_refactors_the_matrix():
     assert g.m is f.m
     for name in ("u", "s", "vh", "pinv"):
         assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
-    hinted = factor(f, DEFAULT_TOL, 1e3)
+    hinted = factor(a, DEFAULT_TOL, 1e3)
     assert hinted.scale == 1e3 and hinted.rank == 2
+
+
+def test_factor_keeps_its_rank_hint():
+    """The hint belongs to the Factor: passing it on keeps its rank decision."""
+    a = np.diag([1.0, 1e-6, 1e-10, 0.0]).astype(complex)
+    hinted = factor(a, DEFAULT_TOL, 1e3)
+    assert factor(hinted, DEFAULT_TOL) is hinted
+    assert factor(hinted, DEFAULT_TOL, 5.0) is hinted  # the hint applies to arrays only
+    loose = Tol(rank_rtol=1e-8)
+    g = factor(hinted, loose)
+    ref = factor(a, loose, 1e3)
+    assert g.m is hinted.m and g.tol == loose and g.scale == 1e3
+    assert (g.rank, g.cutoff) == (ref.rank, ref.cutoff) == (1, 4e-5)
+    assert factor(a, loose).rank == 2  # without the hint, 1e-6 would be kept
 
 
 def test_pinv_is_the_factor_pinv():
     for a, _ in seeded_matrices(count=40):
         assert pinv(a).tobytes() == factor(a).pinv.tobytes()
-        assert pinv(a, scale=10.0).tobytes() == factor(a, DEFAULT_TOL, 10.0).pinv.tobytes()
+        hinted = factor(a, DEFAULT_TOL, 10.0)
+        assert pinv(hinted) is hinted.pinv
 
 
 def test_projectors_examples():

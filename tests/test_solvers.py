@@ -11,11 +11,13 @@ from staralg import (
     Seed,
     SplitMix64,
     UnsolvableError,
+    adj,
     common_lower_bound,
     douglas_solve,
     factor,
     gen_rank_r,
     gen_gp,
+    gen_idempotent,
     gen_star_pair,
     gp_check,
     hermitian_defect,
@@ -126,6 +128,20 @@ def test_sandwich_unsolvable():
         sandwich_solve(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2))
 
 
+def test_sandwich_keeps_a_hinted_factor_at_rank_zero():
+    # I - c* for a full-rank idempotent c is rounding noise: its hinted Factor
+    # has rank 0, and passing it on must not invert the noise
+    c = gen_idempotent(4, 4, 0.5, Seed(1))
+    outer = np.eye(4) - adj(c)
+    assert 0 < np.linalg.norm(outer) < 1e-14 and factor(outer).rank == 4
+    fo = factor(outer, DEFAULT_TOL, 1.0)
+    assert fo.rank == 0
+    fam = sandwich_solve(fo, zeros(4), fo)
+    u = SplitMix64(Seed(2)).complex_gaussian(4, 4)
+    assert np.all(fam.particular == 0)
+    assert np.array_equal(fam.instantiate([u]), u)  # a+ a u b b+ is exactly zero
+
+
 def test_sandwich_soundness():
     rng = SplitMix64(Seed(64))
     for i in range(100):
@@ -208,7 +224,7 @@ def _eight_term_reference(a, b, s, t):
     n = a.shape[0]
     ap, bp = pinv(a), pinv(b)
     d = a - b
-    dp = pinv(d, scale=float(max(np.linalg.norm(a), np.linalg.norm(b))))
+    dp = factor(d, DEFAULT_TOL, float(max(np.linalg.norm(a), np.linalg.norm(b)))).pinv
     eye = np.eye(n, dtype=complex)
     p_ra, p_cra, p_rb = a @ ap, ap @ a, b @ bp
     return (
@@ -500,6 +516,28 @@ def test_system_hermitian_diagonal():
     a = np.diag([2.0, 3.0])
     assert np.allclose(b @ x @ a, b, atol=1e-12)
     assert np.allclose(a @ x @ b, b, atol=1e-12)
+
+
+def test_system_hermitian_factors_m_for_a_non_ep_b():
+    # b = 2 u v* with range(b) = span(e1) != range(b*) = span(v): b is not
+    # range-Hermitian, so m = b* (I - b+ b) is not zero although b <=* a and
+    # both Hermitian conditions hold; the solution still solves the system
+    u = np.array([1.0, 0.0, 0.0])
+    v = np.array([0.5, np.sqrt(0.75), 0.0])
+    b = 2.0 * np.outer(u, v)
+    a = b + np.outer([0.0, 1.0, 0.0], [np.sqrt(0.75), -0.5, 0.0])
+    assert max(star_residuals(b, a)) <= 1e-15
+    ap = pinv(a)
+    assert hermitian_defect(adj(b) @ ap @ b) <= 1e-15
+    assert hermitian_defect(b @ adj(ap) @ adj(b)) <= 1e-15
+    m = adj(b) @ (np.eye(3) - pinv(b) @ b)
+    assert np.linalg.norm(m) == pytest.approx(np.sqrt(3.0))
+    rng = SplitMix64(Seed(81))
+    for w in (zeros(3), rng.hermitian_gaussian(3)):
+        x = system_hermitian(a, b, w)
+        assert hermitian_defect(x) <= RES
+        assert rel_residual(b @ x @ a - b, b) <= RES
+        assert rel_residual(a @ x @ b - b, b) <= RES
 
 
 def test_system_hermitian_requires_hypotheses():

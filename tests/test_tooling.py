@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -73,6 +74,38 @@ def test_one_rank_decision():
     assert sorted(hit.split(":")[0] for hit in found) == ["matcore.py", "matcore.py"], found
 
 
+def test_only_factor_takes_a_rank_hint():
+    """The rank hint describes an operand, so it is given once, to ``factor``,
+    and travels on the Factor; no other public function takes one."""
+    takes_scale = sorted(
+        name for name in staralg.__all__
+        if isinstance(getattr(staralg, name), types.FunctionType)
+        and "scale" in inspect.signature(getattr(staralg, name)).parameters
+    )
+    assert takes_scale == ["factor"]
+
+
+def _is_square_test(node: ast.AST) -> bool:
+    """``<x>.shape[0] != <y>.shape[1]`` in either order."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.NotEq)):
+        return False
+    indices = []
+    for side in (node.left, node.comparators[0]):
+        if not (isinstance(side, ast.Subscript) and isinstance(side.value, ast.Attribute)
+                and side.value.attr == "shape" and isinstance(side.slice, ast.Constant)):
+            return False
+        indices.append(side.slice.value)
+    return sorted(indices) == [0, 1]
+
+
+def test_square_rule_lives_in_matcore():
+    """Only matcore compares ``shape[0]`` with ``shape[1]``: every other
+    module states a square operand through ``square``/``square_pair``."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(SRC).items()
+             for node in ast.walk(tree) if _is_square_test(node)]
+    assert found and all(hit.startswith("matcore.py:") for hit in found), found
+
 
 # the package's public names, by the module that defines them
 PUBLIC_NAMES = {
@@ -92,7 +125,7 @@ PUBLIC_NAMES = {
         "prop_main_check",
     ),
     "chars": (
-        "projector_char", "pbq_char", "deng_decompose", "gp_check", "is_generalized_projection",
+        "projector_char", "pbq_char", "deng_decompose", "gp_check",
         "gp_decompose", "meet_split", "idempotent_split", "common_lower_bound",
     ),
     "genlab": (
