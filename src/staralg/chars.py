@@ -18,7 +18,6 @@ from .matcore import (
     DEFAULT_TOL,
     Tol,
     adj,
-    as_cmat,
     factor,
     idempotent_defect,
     rel_residual,
@@ -28,7 +27,7 @@ from .matcore import (
 )
 from .report import Check, Report, check_flag, check_le
 from .solvers import SolutionFamily, sandwich_solve
-from .starorder import range_inclusion_residual, require_star_leq, star_leq, star_residuals
+from .starorder import require_star_leq, star_leq, star_residuals
 
 __all__ = [
     "projector_char",
@@ -42,8 +41,13 @@ __all__ = [
 ]
 
 
-def _require_range_in(p: np.ndarray, b, tol: Tol, p_name: str, b_name: str) -> None:
-    gap = range_inclusion_residual(p, b, tol)
+def _require_range_in(p: np.ndarray, proj: np.ndarray, tol: Tol, p_name: str, b_name: str) -> None:
+    """Raise unless range(p) <= range(b); ``proj`` is the projector onto range(b)."""
+    if p.shape[0] != proj.shape[0]:
+        raise PreconditionError(
+            f"row dimensions differ: {p_name} has {p.shape[0]}, {b_name} has {proj.shape[0]}"
+        )
+    gap = rel_residual(proj @ p - p, p)
     if gap > tol.res_rtol:
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
 
@@ -66,13 +70,14 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
     p with b* b (requires range(p) <= range(b*)).
     """
     pm = require_projector(p, tol, "p")
-    bm = as_cmat(b)
+    fb = factor(b, tol)
+    bm = fb.m
     if side == "left":
-        _require_range_in(pm, b, tol, "p", "b")
+        _require_range_in(pm, bm @ fb.pinv, tol, "p", "b")
         gram = bm @ adj(bm)
         compressed = pm @ bm
     elif side == "right":
-        _require_range_in(pm, adj(bm), tol, "p", "b*")
+        _require_range_in(pm, fb.pinv @ bm, tol, "p", "b*")
         gram = adj(bm) @ bm
         compressed = bm @ pm
     else:
@@ -95,10 +100,11 @@ def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     """Two-sided compression test: p b q <=* b iff the two commutation
     identities p b q b* = b q b* p and q b* p b = b* p b q hold."""
     pm = require_projector(p, tol, "p")
-    bm = as_cmat(b)
+    fb = factor(b, tol)
+    bm = fb.m
     qm = require_projector(q, tol, "q")
-    _require_range_in(pm, b, tol, "p", "b")
-    _require_range_in(qm, adj(bm), tol, "q", "b*")
+    _require_range_in(pm, bm @ fb.pinv, tol, "p", "b")
+    _require_range_in(qm, fb.pinv @ bm, tol, "q", "b*")
 
     compressed = pm @ bm @ qm
     right = bm @ qm @ adj(bm)

@@ -38,16 +38,16 @@ from .solvers import (
 from .starorder import star_residuals
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["parse_matrix", "format_matrix", "write_matrix", "dispatch", "main"]
+__all__ = ["parse_matrix", "format_matrix", "write_matrix", "main"]
 
-_TOKEN = re.compile(r"^\(([^\s(),]+),([^\s(),]+)\)$")
-_ROW_TOKEN = r"\([^\s(),]+,[^\s(),]+\)"
+_ROW_TOKEN = r"\(([^\s(),]+),([^\s(),]+)\)"
+_TOKEN = re.compile(_ROW_TOKEN)
 _ROW = re.compile(rf"\s*{_ROW_TOKEN}(?:\s+{_ROW_TOKEN})*\s*")
 _UNWRAP = str.maketrans("(),", "   ")
 
 
 def _parse_token(token: str, line_no: int, column: int) -> complex:
-    match = _TOKEN.match(token)
+    match = _TOKEN.fullmatch(token)
     if match is None:
         raise MatrixFormatError(
             f"bad entry {token!r}, expected '(re,im)'", line=line_no, column=column
@@ -171,55 +171,51 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol)
     common.add_argument("--res-rtol", type=float, default=DEFAULT_TOL.res_rtol)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_pinv = sub.add_parser("pinv", parents=[common], help="write the pseudoinverse of a matrix")
-    p_pinv.add_argument("--in", dest="infile", required=True)
-    p_pinv.add_argument("--out", required=True)
-
-    p_check = sub.add_parser("check", help="evaluate a predicate (exit 0 holds, 1 fails)")
-    check_sub = p_check.add_subparsers(dest="predicate", required=True)
-    p_star = check_sub.add_parser("star-order", parents=[common], help="is a below b in the star order?")
-    p_star.add_argument("--a", required=True)
-    p_star.add_argument("--b", required=True)
-    p_gp = check_sub.add_parser("gp", parents=[common], help="is a a generalized projection?")
-    p_gp.add_argument("--a", required=True)
-    p_solv = check_sub.add_parser(
-        "solvable", parents=[common], help="is b X a = b = a X b solvable (b self-adjoint)?"
-    )
-    p_solv.add_argument("--a", required=True)
-    p_solv.add_argument("--b", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve an equation and write one solution")
-    solve_sub = p_solve.add_subparsers(dest="equation", required=True)
-    p_sys = solve_sub.add_parser(
-        "system", parents=[common], help="b X a = b = a X b via the closed-form family"
-    )
-    p_sys.add_argument("--a", required=True)
-    p_sys.add_argument("--b", required=True)
-    p_sys.add_argument("--s", default=None, help="free parameter (defaults to zero)")
-    p_sys.add_argument("--t", default=None, help="free parameter (defaults to zero)")
-    p_sys.add_argument("--out", required=True)
-    p_herm = solve_sub.add_parser(
-        "hermitian", parents=[common], help="hermitian solution of b X a = b = a X b"
-    )
-    p_herm.add_argument("--a", required=True)
-    p_herm.add_argument("--b", required=True)
-    p_herm.add_argument("--w", default=None, help="hermitian free parameter (defaults to zero)")
-    p_herm.add_argument("--out", required=True)
-    p_sand = solve_sub.add_parser("sandwich", parents=[common], help="a X b = c")
-    p_sand.add_argument("--a", required=True)
-    p_sand.add_argument("--c", required=True)
-    p_sand.add_argument("--b", required=True)
-    p_sand.add_argument("--u", default=None, help="free parameter (defaults to zero)")
-    p_sand.add_argument("--out", required=True)
-
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair.add_argument("--a", required=True)
+    pair.add_argument("--b", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, required=True)
     seeded.add_argument("--stream", type=int, default=0)
 
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_pinv = sub.add_parser("pinv", parents=[common, out], help="write the pseudoinverse of a matrix")
+    p_pinv.add_argument("--in", dest="infile", required=True)
+    p_pinv.set_defaults(run=_cmd_pinv)
+
+    p_check = sub.add_parser("check", help="evaluate a predicate (exit 0 holds, 1 fails)")
+    p_check.set_defaults(run=_cmd_check)
+    check_sub = p_check.add_subparsers(dest="predicate", required=True)
+    check_sub.add_parser("star-order", parents=[pair], help="is a below b in the star order?")
+    p_gp = check_sub.add_parser("gp", parents=[common], help="is a a generalized projection?")
+    p_gp.add_argument("--a", required=True)
+    check_sub.add_parser(
+        "solvable", parents=[pair], help="is b X a = b = a X b solvable (b self-adjoint)?"
+    )
+
+    p_solve = sub.add_parser("solve", help="solve an equation and write one solution")
+    p_solve.set_defaults(run=_cmd_solve)
+    solve_sub = p_solve.add_subparsers(dest="equation", required=True)
+    p_sys = solve_sub.add_parser(
+        "system", parents=[pair, out], help="b X a = b = a X b via the closed-form family"
+    )
+    p_sys.add_argument("--s", default=None, help="free parameter (defaults to zero)")
+    p_sys.add_argument("--t", default=None, help="free parameter (defaults to zero)")
+    p_herm = solve_sub.add_parser(
+        "hermitian", parents=[pair, out], help="hermitian solution of b X a = b = a X b"
+    )
+    p_herm.add_argument("--w", default=None, help="hermitian free parameter (defaults to zero)")
+    p_sand = solve_sub.add_parser("sandwich", parents=[common, out], help="a X b = c")
+    p_sand.add_argument("--a", required=True)
+    p_sand.add_argument("--c", required=True)
+    p_sand.add_argument("--b", required=True)
+    p_sand.add_argument("--u", default=None, help="free parameter (defaults to zero)")
+
     p_gen = sub.add_parser("gen", help="write seeded instances")
+    p_gen.set_defaults(run=_cmd_gen)
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
     g_pair = gen_sub.add_parser(
         "star-pair", parents=[seeded], help="pair (a, b) with b below a in the star order"
@@ -231,27 +227,25 @@ def _build_parser() -> argparse.ArgumentParser:
     g_pair.add_argument("--out-a", required=True, help="file for the larger element")
     g_pair.add_argument("--out-b", required=True, help="file for the smaller element")
     g_gp = gen_sub.add_parser(
-        "gp", parents=[seeded], help="generalized projection with given multiplicities"
+        "gp", parents=[seeded, out], help="generalized projection with given multiplicities"
     )
     g_gp.add_argument("--n", type=int, required=True)
     g_gp.add_argument("--m1", type=int, default=0, help="multiplicity of eigenvalue 1")
     g_gp.add_argument("--mw", type=int, default=0, help="multiplicity of the first cube root")
     g_gp.add_argument("--mw2", type=int, default=0, help="multiplicity of the second cube root")
-    g_gp.add_argument("--out", required=True)
     g_idem = gen_sub.add_parser(
-        "idempotent", parents=[seeded], help="rank-r idempotent, optionally skewed"
+        "idempotent", parents=[seeded, out], help="rank-r idempotent, optionally skewed"
     )
     g_idem.add_argument("--n", type=int, required=True)
     g_idem.add_argument("--rank", type=int, required=True)
     g_idem.add_argument("--skew", type=float, default=0.0)
-    g_idem.add_argument("--out", required=True)
-    g_rank = gen_sub.add_parser("rank", parents=[seeded], help="random matrix of exact rank r")
+    g_rank = gen_sub.add_parser("rank", parents=[seeded, out], help="random matrix of exact rank r")
     g_rank.add_argument("--rows", type=int, required=True)
     g_rank.add_argument("--cols", type=int, required=True)
     g_rank.add_argument("--rank", type=int, required=True)
-    g_rank.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run claim suites")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--dims", type=int, default=6)
@@ -365,34 +359,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def dispatch(argv) -> int:
-    """Parse arguments and run one command, mapping errors to exit codes."""
-    parser = _build_parser()
+def main(argv=None) -> int:
+    """Parse arguments (``sys.argv[1:]`` by default) and run one command,
+    mapping errors to exit codes."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "pinv":
-            return _cmd_pinv(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (StaralgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (MatrixFormatError, OSError)):
             return 2
         # any other domain error, future ones included, is a predicate failure
         return 3 if isinstance(exc, NumericError) else 1
-
-
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

@@ -141,12 +141,6 @@ def rank_r(rng: SplitMix64, m: int, n: int, r: int) -> np.ndarray:
     return (u[:, :r] * s) @ adj(v[:, :r])
 
 
-def invertible(rng: SplitMix64, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return rank_r(rng, n, n, n)
-
-
 def _hermitian_invertible(rng: SplitMix64, n: int) -> np.ndarray:
     """Hermitian with eigenvalues of magnitude in [0.5, 2] and random signs."""
     if n == 0:
@@ -176,8 +170,8 @@ def star_pair(
     else:
         u = unitary(rng, n)
         v = unitary(rng, n)
-        a1 = invertible(rng, r)
-        b1 = invertible(rng, k)
+        a1 = rank_r(rng, r, r, r)
+        b1 = rank_r(rng, k, k, k)
     big = u @ _embed_blocks(n, a1, b1) @ adj(v)
     small = u @ _embed_blocks(n, a1, np.zeros((0, 0))) @ adj(v)
     return big, small

@@ -166,6 +166,7 @@ def rel_residual(e, ref) -> float:
 
     The unit clamp keeps residuals meaningful around the zero matrix; this is
     the single residual convention used by every predicate in the package.
+    Raises NumericError when a norm overflows although every entry is finite.
     """
     if not (_is_cmat(e) and _is_cmat(ref)):
         e, ref = as_cmat(e), as_cmat(ref)
@@ -174,6 +175,7 @@ def rel_residual(e, ref) -> float:
         # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
         as_cmat(e)
         as_cmat(ref)
+        raise NumericError(f"residual norm overflows: ||e||_F = {num:.3e}, ||ref||_F = {den:.3e}")
     return float(num / max(1.0, float(den)))
 
 

@@ -34,7 +34,6 @@ from .genlab import (
     SplitMix64,
     gp,
     idempotent,
-    invertible,
     rank_r,
     star_pair,
     thm23_instance,
@@ -262,7 +261,7 @@ def _suite_prop2_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     fa = factor(a, tol)
     u_r = fa.u[:, :r]
     v_r = adj(fa.vh)[:, :r]
-    b = u_r @ invertible(rng, r) @ adj(v_r) if r else _zeros(n)
+    b = u_r @ rank_r(rng, r, r, r) @ adj(v_r)
     x = _inner_inverse(rng, a, fa.pinv)
     rep = prop_main_check(fa, b, x, tol)
     rep_rand = prop_main_check(

@@ -15,7 +15,7 @@ import numpy as np
 
 import staralg
 from staralg import run_suite, to_line
-from staralg.cli import dispatch, parse_matrix, write_matrix
+from staralg.cli import main, parse_matrix, write_matrix
 
 SECTION4_SUITES = (
     "prop4.1", "prop4.2", "thm4.3", "lem4.4", "thm4.5",
@@ -96,18 +96,18 @@ def test_criterion_10_cli_contract(tmp_path):
     b = tmp_path / "b.mat"
     x = tmp_path / "x.mat"
     axa = tmp_path / "axa.mat"
-    ok = dispatch([
+    ok = main([
         "gen", "star-pair", "--n", "5", "--rank", "2", "--extra", "2",
         "--seed", "1", "--out-a", str(a), "--out-b", str(b),
     ]) == 0
-    ok = ok and dispatch(["solve", "system", "--a", str(a), "--b", str(b), "--out", str(x)]) == 0
+    ok = ok and main(["solve", "system", "--a", str(a), "--b", str(b), "--out", str(x)]) == 0
     am, xm = parse_matrix(a), parse_matrix(x)
     write_matrix(axa, am @ xm @ am)
-    ok = ok and dispatch(["check", "star-order", "--a", str(axa), "--b", str(b)]) == 0
+    ok = ok and main(["check", "star-order", "--a", str(axa), "--b", str(b)]) == 0
 
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n(1,0) (0,0)\n(0,0) wat\n", encoding="utf-8")
-    code = dispatch(["pinv", "--in", str(bad), "--out", str(x)])
+    code = main(["pinv", "--in", str(bad), "--out", str(x)])
     ok = ok and code == 2
     print(f"ACCEPTANCE 10 cli-contract: {'PASS' if ok else 'FAIL'}")
     assert ok

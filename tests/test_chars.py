@@ -70,6 +70,20 @@ def test_projector_char_preconditions():
         projector_char(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), "left")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: projector_char(np.eye(3), np.ones((3, 4)), "right"),
+        lambda: projector_char(np.eye(3), np.ones((4, 3)), "left"),
+        lambda: pbq_char(np.ones((3, 3)) / 3, np.ones((3, 4)), np.eye(3)),
+    ],
+    ids=["right", "left", "pbq"],
+)
+def test_projector_size_mismatch_is_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="row dimensions differ"):
+        call()
+
+
 def test_pbq_char_full_projectors():
     b = np.array([[1.0, 2.0], [0.0, 1.0]])
     p = b @ pinv(b)

@@ -27,11 +27,11 @@ from staralg import (
     system_general,
 )
 from staralg import cli
-from staralg.cli import dispatch, format_matrix, parse_matrix, write_matrix
+from staralg.cli import format_matrix, main, parse_matrix, write_matrix
 
 
 def run(*argv):
-    return dispatch(list(argv))
+    return main(list(argv))
 
 
 # --- format --------------------------------------------------------------
@@ -451,6 +451,60 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert run("pinv", "--in", "only") == 2
     capsys.readouterr()
+
+
+# every command with a complete set of its required options
+COMMANDS = {
+    "pinv": ["--in", "i.mat", "--out", "o.mat"],
+    "check star-order": ["--a", "a.mat", "--b", "b.mat"],
+    "check gp": ["--a", "a.mat"],
+    "check solvable": ["--a", "a.mat", "--b", "b.mat"],
+    "solve system": ["--a", "a.mat", "--b", "b.mat", "--out", "o.mat"],
+    "solve hermitian": ["--a", "a.mat", "--b", "b.mat", "--out", "o.mat"],
+    "solve sandwich": ["--a", "a.mat", "--c", "c.mat", "--b", "b.mat", "--out", "o.mat"],
+    "gen star-pair": ["--n", "3", "--rank", "1", "--extra", "1", "--seed", "1",
+                      "--out-a", "a.mat", "--out-b", "b.mat"],
+    "gen gp": ["--n", "3", "--seed", "1", "--out", "o.mat"],
+    "gen idempotent": ["--n", "3", "--rank", "1", "--seed", "1", "--out", "o.mat"],
+    "gen rank": ["--rows", "3", "--cols", "3", "--rank", "1", "--seed", "1", "--out", "o.mat"],
+    "verify": ["--suite", "penrose"],
+}
+
+
+@pytest.mark.parametrize("command", ["", "check", "solve", "gen", *COMMANDS])
+def test_help_exits_zero(capsys, command):
+    assert run(*command.split(), "--help") == 0
+    assert capsys.readouterr().out.startswith("usage: staralg")
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, argv in COMMANDS.items()
+    for option in ("--a", "--b", "--out") if option in argv
+])
+def test_missing_operand_is_usage_error(capsys, command, option):
+    argv = COMMANDS[command]
+    i = argv.index(option)
+    assert run(*command.split(), *argv[:i], *argv[i + 2:]) == 2
+    assert f"the following arguments are required: {option}" in capsys.readouterr().err
+
+
+def test_residual_overflow_exits_three(tmp_path, capsys):
+    """At 1e150 the entries are finite but the residual norms overflow: the
+    answer is a numeric failure, not an X for an unrelated pair or a "no"
+    for a related one."""
+    big, small = gen_star_pair(4, 2, 1, Seed(3))
+    unrelated = gen_star_pair(4, 2, 1, Seed(4))[1]
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "r", "x")}
+    for name, m in (("a", big), ("b", small), ("r", unrelated)):
+        write_matrix(paths[name], 1e150 * m)
+    with np.errstate(over="ignore"):
+        assert run("solve", "system", "--a", str(paths["a"]), "--b", str(paths["r"]),
+                   "--out", str(paths["x"])) == 3
+        assert run("check", "star-order", "--a", str(paths["b"]), "--b", str(paths["a"])) == 3
+    assert not paths["x"].exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: residual norm overflows") == 2
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -627,6 +627,7 @@ def _factor_cases():
         "prop_main_check_b": (lambda m: prop_main_check(big, m, x).checks, small),
         "range_inclusion_residual": (lambda m: range_inclusion_residual(c, m), a),
         "projector_char": (lambda m: projector_char(p, m, "left").checks, b),
+        "projector_char_right": (lambda m: projector_char(q, m, "right").checks, b),
         "pbq_char": (lambda m: pbq_char(p, m, q).checks, b),
         "gp_check": (lambda m: gp_check(m).checks, g),
         "common_lower_bound": (lambda m: common_lower_bound(g, m, zeros(5)).checks, g),
@@ -634,6 +635,17 @@ def _factor_cases():
 
 
 FACTOR_CASES = _factor_cases()
+
+
+@pytest.mark.parametrize("name", ["projector_char", "projector_char_right", "pbq_char"])
+def test_characterization_reads_both_ranges_off_b_factor(svd_calls, name):
+    """range(b) and range(b*) come from one SVD of b: given b's Factor, the
+    characterizations of Props. 4.1-4.2 factor nothing."""
+    call, m = FACTOR_CASES[name]
+    f = factor(m)
+    svd_calls.clear()
+    call(f)
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))

@@ -148,3 +148,22 @@ def test_public_surface_is_pinned():
             assert obj is getattr(home, name), f"staralg.{name} is not {home.__name__}.{name}"
             if isinstance(obj, (type, types.FunctionType)):
                 assert obj.__module__ == home.__name__, f"{name} is defined in {obj.__module__}"
+
+
+def _callee(node: ast.Call) -> str:
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+
+
+def test_no_operation_factors_an_adjoint_it_could_read_off():
+    """range(b*) and (b*)+ come from b's own SVD, so outside the suites that
+    check adjoint identities on purpose (verify), nothing factors ``adj(...)``."""
+    factoring = {"factor", "pinv", "range_inclusion_residual", "_require_range_in"}
+    found = [
+        f"{name}:{node.lineno} {_callee(node)}(adj(...))"
+        for name, tree in _trees(SRC).items() if name != "verify.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) in factoring
+        and any(isinstance(arg, ast.Call) and _callee(arg) == "adj"
+                for arg in [*node.args, *(k.value for k in node.keywords)])
+    ]
+    assert found == [], found

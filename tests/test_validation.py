@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from staralg import (
+    NumericError,
     PreconditionError,
     Seed,
     StaralgError,
@@ -15,7 +16,9 @@ from staralg import (
     lsq_oracle,
     pinv,
     rel_residual,
+    star_leq,
     star_residuals,
+    system_family,
     system_general,
     system_solvable,
 )
@@ -81,3 +84,18 @@ def test_star_residuals_at_extreme_scale_raises_instead_of_nan(swap):
     a, b = (big, small) if swap else (small, big)
     with pytest.raises(StaralgError), np.errstate(over="ignore", invalid="ignore"):
         star_residuals(1e160 * a, 1e160 * b)
+
+
+@pytest.mark.parametrize("call", [star_residuals, star_leq], ids=lambda f: f.__name__)
+def test_residual_overflow_on_finite_entries_is_a_numeric_error(call):
+    # the entries and their products are finite, but the Frobenius norms overflow
+    big, small = gen_star_pair(6, 2, 2, Seed(5))
+    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+        call(1e150 * small, 1e150 * big)
+
+
+def test_system_family_of_an_unrelated_pair_overflowing_is_a_numeric_error():
+    big = gen_star_pair(6, 2, 2, Seed(5))[0]
+    unrelated = gen_star_pair(6, 2, 2, Seed(6))[1]
+    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+        system_family(1e150 * big, 1e150 * unrelated)

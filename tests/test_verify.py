@@ -133,8 +133,8 @@ SVD_BUDGETS = {
     "thm3.8": 10,
     "thm3.9": 10,
     "thm3.11": 40,
-    "prop4.1": 30,
-    "prop4.2": 30,
+    "prop4.1": 10,
+    "prop4.2": 10,
     "thm4.3": 20,
     "prop4.9": 20,
     "oracle-agreement": 10,
