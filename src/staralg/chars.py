@@ -18,6 +18,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tol,
     adj,
+    eq_residual,
     factor,
     idempotent_defect,
     rel_residual,
@@ -47,8 +48,8 @@ def _require_range_in(p: np.ndarray, proj: np.ndarray, tol: Tol, p_name: str, b_
         raise PreconditionError(
             f"row dimensions differ: {p_name} has {p.shape[0]}, {b_name} has {proj.shape[0]}"
         )
-    gap = rel_residual(proj @ p - p, p)
-    if gap > tol.res_rtol:
+    gap = eq_residual((proj, p), p)
+    if not tol.holds(gap):
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
 
 
@@ -85,8 +86,8 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
 
     commute = rel_residual(pm @ gram - gram @ pm, gram)
     s1, s2 = star_residuals(compressed, bm)
-    star_holds = s1 <= tol.res_rtol and s2 <= tol.res_rtol
-    commute_holds = commute <= tol.res_rtol
+    star_holds = tol.holds(s1, s2)
+    commute_holds = tol.holds(commute)
     checks = (
         check_le("star_left", s1, tol.res_rtol),
         check_le("star_right", s2, tol.res_rtol),
@@ -112,8 +113,8 @@ def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     c1 = rel_residual(pm @ right - right @ pm, right)
     c2 = rel_residual(qm @ left - left @ qm, left)
     s1, s2 = star_residuals(compressed, bm)
-    star_holds = s1 <= tol.res_rtol and s2 <= tol.res_rtol
-    commute_holds = c1 <= tol.res_rtol and c2 <= tol.res_rtol
+    star_holds = tol.holds(s1, s2)
+    commute_holds = tol.holds(c1, c2)
     checks = (
         check_le("star_left", s1, tol.res_rtol),
         check_le("star_right", s2, tol.res_rtol),
@@ -133,7 +134,7 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """
     am, cm, n = square_pair(a, c_idempotent)
     defect = idempotent_defect(cm)
-    if defect > tol.res_rtol:
+    if not tol.holds(defect):
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
     # I - c* may be rounding noise (c close to the identity): hint its rank
     # decision with the scale of c
@@ -162,7 +163,7 @@ def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
     p_range = am @ factor(a, tol).pinv
     rt = tol.res_rtol
     checks = (
-        check_le("gp_defect", rel_residual(a2 - adj(am), am), rt),
+        check_le("gp_defect", eq_residual(a2, adj(am)), rt),
         check_le("cube_hermitian", rel_residual(a3 - adj(a3), am), rt),
         check_le("cube_idempotent", rel_residual(a3 @ a3 - a3, am), rt),
         check_le("cube_is_range_projector", rel_residual(a3 - p_range, am), rt),
@@ -195,10 +196,10 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     x = am @ adj(am) - bm
     rt = tol.res_rtol
     checks = _split_certificates(bm, x, rt) + (
-        check_le("ab_absorb", rel_residual(am @ bm - bm, bm), rt),
-        check_le("ba_absorb", rel_residual(bm @ am - bm, bm), rt),
-        check_le("astar_b_absorb", rel_residual(adj(am) @ bm - bm, bm), rt),
-        check_le("b_astar_absorb", rel_residual(bm @ adj(am) - bm, bm), rt),
+        check_le("ab_absorb", eq_residual((am, bm), bm), rt),
+        check_le("ba_absorb", eq_residual((bm, am), bm), rt),
+        check_le("astar_b_absorb", eq_residual((adj(am), bm), bm), rt),
+        check_le("b_astar_absorb", eq_residual((bm, adj(am)), bm), rt),
     )
     return x, Report(suite="meet-split", trial=0, checks=checks)
 
@@ -212,7 +213,7 @@ def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Rep
     """
     am, bm, _ = square_pair(a_idem, b)
     defect = idempotent_defect(am)
-    if defect > tol.res_rtol:
+    if not tol.holds(defect):
         raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
     x = am - bm
     certs = _split_certificates(bm, x, tol.res_rtol)
@@ -250,7 +251,7 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     y_left = rel_residual(adj(bm) @ y, bm)
     y_right = rel_residual(y @ adj(bm), bm)
     rt = tol.res_rtol
-    rhs = b_idem <= rt and witness_exists and y_left <= rt and y_right <= rt
+    rhs = witness_exists and tol.holds(b_idem, y_left, y_right)
     checks = (
         check_flag("lower_bound_of_a", below_a),
         check_flag("lower_bound_of_ccstar", below_cc),

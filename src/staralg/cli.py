@@ -269,10 +269,8 @@ def _cmd_pinv(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = _tol_from(args)
     if args.predicate == "star-order":
-        a = parse_matrix(args.a)
-        b = parse_matrix(args.b)
-        r1, r2 = star_residuals(a, b)
-        holds = r1 <= tol.res_rtol and r2 <= tol.res_rtol
+        r1, r2 = star_residuals(parse_matrix(args.a), parse_matrix(args.b))
+        holds = tol.holds(r1, r2)
         print(f"residual_aa_adj={r1:.5e}")
         print(f"residual_adj_aa={r2:.5e}")
         print(f"star_order={'yes' if holds else 'no'}")

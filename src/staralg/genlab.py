@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, meet_projector, projectors, square
+from .matcore import DEFAULT_TOL, Tol, adj, factor, meet_projector, projectors, square
 
 __all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_rank_r", "gen_star_pair", "gen_gp",
            "gen_idempotent", "gen_thm23_instance"]
@@ -198,7 +198,8 @@ def idempotent(rng: SplitMix64, n: int, r: int, skew: float) -> np.ndarray:
         return q @ d @ adj(q)
     for _ in range(10):
         basis = np.eye(n, dtype=np.complex128) + skew * rng.complex_gaussian(n, n)
-        if np.linalg.cond(basis) <= 1e8:
+        s = factor(basis).s  # condition number s[0] / s[-1] at most 1e8
+        if s[0] <= 1e8 * s[-1]:
             return basis @ d @ np.linalg.inv(basis)
     raise NumericError("could not draw a well-conditioned similarity in 10 attempts")
 

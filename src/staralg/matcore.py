@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +50,11 @@ class Tol:
             raise PreconditionError(f"rank_rtol must be in (0, 1), got {self.rank_rtol}")
         if not 0.0 < self.res_rtol < 1.0:
             raise PreconditionError(f"res_rtol must be in (0, 1), got {self.res_rtol}")
+
+    def holds(self, *residuals: float) -> bool:
+        """The one acceptance test: every residual is at most res_rtol (a tie
+        holds, a NaN fails)."""
+        return all(r <= self.res_rtol for r in residuals)
 
 
 DEFAULT_TOL = Tol()
@@ -166,7 +172,9 @@ def rel_residual(e, ref) -> float:
 
     The unit clamp keeps residuals meaningful around the zero matrix; this is
     the single residual convention used by every predicate in the package.
-    Raises NumericError when a norm overflows although every entry is finite.
+    When a norm overflows although every entry is finite, both matrices are
+    first scaled by one power of two; NumericError is raised only for a
+    residual beyond the double range.
     """
     if not (_is_cmat(e) and _is_cmat(ref)):
         e, ref = as_cmat(e), as_cmat(ref)
@@ -175,8 +183,29 @@ def rel_residual(e, ref) -> float:
         # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
         as_cmat(e)
         as_cmat(ref)
-        raise NumericError(f"residual norm overflows: ||e||_F = {num:.3e}, ||ref||_F = {den:.3e}")
+        # finite entries whose squares overflow: scale both by 2**-k, which
+        # rounds nothing that reaches the norm; the quotient needs no undoing,
+        # and under the unit clamp ||e|| is scaled back
+        k = math.frexp(max(float(np.abs(e).max()), float(np.abs(ref).max())))[1]
+        unit = math.ldexp(1.0, -k)
+        sn, sd = np.linalg.norm(e * unit), np.linalg.norm(ref * unit)
+        res = sn / sd if sd >= unit else np.ldexp(sn, k)
+        if not math.isfinite(res):
+            raise NumericError(
+                f"residual norm overflows: ||e||_F = {num:.3e}, ||ref||_F = {den:.3e}")
+        return float(res)
     return float(num / max(1.0, float(den)))
+
+
+def eq_residual(lhs, rhs) -> float:
+    """Residual of the equation lhs = rhs: ``||lhs - rhs||_F / max(1, ||rhs||_F)``.
+
+    A tuple ``lhs`` stands for the product of its factors, taken left to right
+    as ``a @ b @ c`` associates.
+    """
+    if isinstance(lhs, tuple):
+        lhs = reduce(np.matmul, lhs)
+    return rel_residual(lhs - rhs, rhs)
 
 
 def square(a, name: str) -> np.ndarray:
@@ -206,15 +235,15 @@ def square_pair(a, b, **operands) -> tuple:
 
 
 def hermitian_defect(a) -> float:
-    """Relative residual of a - a* for a square matrix a."""
+    """Residual of a* = a for a square matrix a."""
     m = square(a, "a")
-    return rel_residual(m - adj(m), m)
+    return eq_residual(adj(m), m)
 
 
 def idempotent_defect(a) -> float:
-    """Relative residual of a@a - a for a square matrix a."""
+    """Residual of a@a = a for a square matrix a."""
     m = square(a, "a")
-    return rel_residual(m @ m - m, m)
+    return eq_residual((m, m), m)
 
 
 def require_projector(p, tol: Tol, name: str) -> np.ndarray:
@@ -223,7 +252,7 @@ def require_projector(p, tol: Tol, name: str) -> np.ndarray:
     pm = square(p, name)
     h = hermitian_defect(pm)
     q = idempotent_defect(pm)
-    if h > tol.res_rtol or q > tol.res_rtol:
+    if not tol.holds(h, q):
         raise PreconditionError(
             f"{name} is not an orthogonal projector "
             f"(hermitian defect {h:.3e}, idempotent defect {q:.3e})"

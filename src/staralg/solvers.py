@@ -19,6 +19,7 @@ from .matcore import (
     Tol,
     adj,
     as_cmat,
+    eq_residual,
     factor,
     hermitian_defect,
     rel_residual,
@@ -78,7 +79,7 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     am, ap = fa.m, fa.pinv
     cm = as_cmat(c)
     gap = range_inclusion_residual(cm, fa, tol)
-    if gap > tol.res_rtol:
+    if not tol.holds(gap):
         raise UnsolvableError(
             f"a X = c is unsolvable: range criterion residual {gap:.3e} > res_rtol {tol.res_rtol:g}",
             residual=gap,
@@ -109,8 +110,8 @@ def sandwich_solve(a, c, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
         )
     ap = factor(a, tol).pinv
     bp = factor(b, tol).pinv
-    crit = rel_residual(am @ ap @ cm @ bp @ bm - cm, cm)
-    if crit > tol.res_rtol:
+    crit = eq_residual((am, ap, cm, bp, bm), cm)
+    if not tol.holds(crit):
         raise UnsolvableError(
             f"a X b = c is unsolvable: criterion residual {crit:.3e} > res_rtol {tol.res_rtol:g}",
             residual=crit,
@@ -129,7 +130,7 @@ def system_criterion_residual(a, b, tol: Tol = DEFAULT_TOL) -> float:
     """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
     am, bm, _ = square_pair(a, b)
     ap = factor(a, tol).pinv
-    return rel_residual(am @ ap @ bm @ ap @ am - bm, bm)
+    return eq_residual((am, ap, bm, ap, am), bm)
 
 
 def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
@@ -140,15 +141,15 @@ def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
     """
     am, bm, _ = square_pair(a, b_selfadjoint)
     h = hermitian_defect(bm)
-    if h > tol.res_rtol:
+    if not tol.holds(h):
         raise PreconditionError(f"b must be self-adjoint (defect {h:.3e})")
-    return system_criterion_residual(a, bm, tol) <= tol.res_rtol
+    return tol.holds(system_criterion_residual(a, bm, tol))
 
 
 def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """The residuals (b x a - b, a x b - b) of the system at x, relative to b;
-    the caller has validated the three matrices."""
-    return rel_residual(b @ x @ a - b, b), rel_residual(a @ x @ b - b, b)
+    """The residuals of b x a = b and a x b = b at x; the caller has
+    validated the three matrices."""
+    return eq_residual((b, x, a), b), eq_residual((a, x, b), b)
 
 
 def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
@@ -199,8 +200,8 @@ def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     r_bxa, r_axb = system_residuals(am, bm, xm)
     axa = am @ xm @ am
     d1, d2 = star_residuals(bm, axa)
-    solves = r_bxa <= tol.res_rtol and r_axb <= tol.res_rtol
-    dominated = d1 <= tol.res_rtol and d2 <= tol.res_rtol
+    solves = tol.holds(r_bxa, r_axb)
+    dominated = tol.holds(d1, d2)
     checks = (
         check_le("eq_bxa", r_bxa, tol.res_rtol),
         check_le("eq_axb", r_axb, tol.res_rtol),
@@ -219,7 +220,7 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     am, bm, _, xm = square_pair(a, b, x_big=x_big)
     r_bxa, r_axb = system_residuals(am, bm, xm)
-    if r_bxa > tol.res_rtol or r_axb > tol.res_rtol:
+    if not tol.holds(r_bxa, r_axb):
         raise PreconditionError(
             f"x_big does not solve the system (residuals {r_bxa:.3e}, {r_axb:.3e})"
         )
@@ -241,21 +242,21 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     ap = factor(a, tol).pinv
     bp = factor(b, tol).pinv
     conditions = (
-        ("range_c", rel_residual(am @ ap @ cm - cm, cm)),
-        ("corange_d", rel_residual(dm @ bp @ bm - dm, dm)),
-        ("link_ad_cb", rel_residual(am @ dm - cm @ bm, am @ dm)),
+        ("range_c", eq_residual((am, ap, cm), cm)),
+        ("corange_d", eq_residual((dm, bp, bm), dm)),
+        ("link_ad_cb", eq_residual((cm, bm), am @ dm)),
         ("ac_adj_hermitian", hermitian_defect(am @ adj(cm))),
         ("bd_hermitian", hermitian_defect(adj(bm) @ dm)),
     )
     for name, res in conditions:
-        if res > tol.res_rtol:
+        if not tol.holds(res):
             raise UnsolvableError(
                 f"no hermitian solution: condition {name} fails "
                 f"(residual {res:.3e} > res_rtol {tol.res_rtol:g})",
                 residual=res,
             )
     hw = hermitian_defect(wm)
-    if hw > tol.res_rtol:
+    if not tol.holds(hw):
         raise PreconditionError(f"w must be hermitian (defect {hw:.3e})")
 
     eye = np.eye(n, dtype=np.complex128)
@@ -297,19 +298,16 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     bp = factor(b, tol).pinv
     eye = np.eye(n, dtype=np.complex128)
 
-    ra_in_rb = rel_residual(bm @ bp @ am - am, am)
-    rb_in_ra = rel_residual(am @ ap @ bm - bm, bm)
+    ra_in_rb = eq_residual((bm, bp, am), am)
+    rb_in_ra = eq_residual((am, ap, bm), bm)
     nb_in_na = rel_residual(am @ (eye - bp @ bm), am)
     na_in_nb = rel_residual(bm @ (eye - ap @ am), bm)
     r_bxa, r_axb = system_residuals(am, bm, xm)
-    r_axa = rel_residual(am @ xm @ am - am, am)
+    r_axa = eq_residual((am, xm, am), am)
 
+    lhs = tol.holds(ra_in_rb, nb_in_na, r_bxa, r_axb)
+    rhs = tol.holds(na_in_nb, nb_in_na, ra_in_rb, rb_in_ra, r_axa)
     rt = tol.res_rtol
-    lhs = ra_in_rb <= rt and nb_in_na <= rt and r_bxa <= rt and r_axb <= rt
-    rhs = (
-        na_in_nb <= rt and nb_in_na <= rt and ra_in_rb <= rt and rb_in_ra <= rt
-        and r_axa <= rt
-    )
     checks = (
         check_le("ra_in_rb", ra_in_rb, rt),
         check_le("rb_in_ra", rb_in_ra, rt),

@@ -10,37 +10,31 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotComparableError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, factor, rel_residual
+from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, eq_residual, factor
 
 __all__ = ["star_residuals", "star_leq", "range_inclusion_residual"]
 
 
 def star_residuals(a, b) -> tuple[float, float]:
-    """The two defining residuals of a <=* b: (aa* - ba*, a*a - a*b)."""
+    """The two defining residuals of a <=* b: of b a* = a a* and of a* b = a* a."""
     am = as_cmat(a)
     bm = as_cmat(b)
     if am.shape != bm.shape:
         raise PreconditionError(f"shape mismatch: {am.shape} vs {bm.shape}")
     ah = adj(am)
-    aah = am @ ah
-    aha = ah @ am
-    return (
-        rel_residual(aah - bm @ ah, aah),
-        rel_residual(aha - ah @ bm, aha),
-    )
+    return eq_residual((bm, ah), am @ ah), eq_residual((ah, bm), ah @ am)
 
 
 def star_leq(a, b, tol: Tol = DEFAULT_TOL) -> bool:
     """True when a <=* b to within res_rtol."""
-    r1, r2 = star_residuals(a, b)
-    return r1 <= tol.res_rtol and r2 <= tol.res_rtol
+    return tol.holds(*star_residuals(a, b))
 
 
 def require_star_leq(a: np.ndarray, b: np.ndarray, tol: Tol, what: str) -> None:
     """Raise NotComparableError unless a <=* b; ``what`` names the operation
     and the relation it requires, e.g. "system_family requires b <=* a"."""
     r1, r2 = star_residuals(a, b)
-    if r1 > tol.res_rtol or r2 > tol.res_rtol:
+    if not tol.holds(r1, r2):
         raise NotComparableError(
             f"{what}; residuals {r1:.3e}, {r2:.3e} (res_rtol {tol.res_rtol:g})",
             residuals=(r1, r2),
@@ -56,5 +50,5 @@ def range_inclusion_residual(c, a, tol: Tol = DEFAULT_TOL) -> float:
         raise PreconditionError(
             f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
         )
-    return rel_residual(am @ fa.pinv @ cm - cm, cm)
+    return eq_residual((am, fa.pinv, cm), cm)
 

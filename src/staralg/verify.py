@@ -43,6 +43,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tol,
     adj,
+    eq_residual,
     factor,
     hermitian_defect,
     idempotent_defect,
@@ -98,6 +99,11 @@ def lsq_oracle(a, b) -> tuple[np.ndarray, float]:
 def _oracle_rel(a: np.ndarray, b: np.ndarray) -> float:
     _, res = lsq_oracle(a, b)
     return res / max(1.0, float(np.linalg.norm(b)))
+
+
+def _refuted(name: str, residual: float, tol: Tol) -> Check:
+    """An engineered negative: at least NEG_FLOOR, marginal between res_rtol and it."""
+    return check_ge(name, residual, NEG_FLOOR, tol.res_rtol)
 
 
 def _check_clean(name: str, residual: float, pos: float, neg: float, expect_small: bool) -> Check:
@@ -173,8 +179,8 @@ def _split_negatives(rng: SplitMix64, a: np.ndarray, b: np.ndarray, tol: Tol) ->
     certs = _worst(rep, "b_idempotent", "x_idempotent", "bstar_x", "x_bstar")
     return (
         check_flag("neg_agree", rep.passed("star_matches_certificates")),
-        check_ge("neg_cert", certs, NEG_FLOOR, tol.res_rtol),
-        check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol),
+        _refuted("neg_cert", certs, tol),
+        _refuted("neg_star", _star_gap(b_bad, a), tol),
     )
 
 
@@ -190,11 +196,11 @@ def _suite_penrose(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     a = rank_r(rng, m, p, r)
     ap = pinv(a, tol)
     return (
-        check_le("fixed_a", rel_residual(a @ ap @ a - a, a), _TIGHT),
-        check_le("fixed_pinv", rel_residual(ap @ a @ ap - ap, ap), _TIGHT),
+        check_le("fixed_a", eq_residual((a, ap, a), a), _TIGHT),
+        check_le("fixed_pinv", eq_residual((ap, a, ap), ap), _TIGHT),
         check_le("range_proj_hermitian", hermitian_defect(a @ ap), _TIGHT),
         check_le("corange_proj_hermitian", hermitian_defect(ap @ a), _TIGHT),
-        check_le("adjoint_commutes", rel_residual(adj(ap) - pinv(adj(a), tol), adj(ap)), _TIGHT),
+        check_le("adjoint_commutes", eq_residual(pinv(adj(a), tol), adj(ap)), _TIGHT),
     )
 
 
@@ -204,15 +210,13 @@ def _suite_douglas(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     fa = factor(a, tol)
     c = a @ rng.complex_gaussian(n, n)
     fam = douglas_solve(fa, c, tol)
-    checks = [
-        check_le("particular", rel_residual(a @ fam.particular - c, c), tol.res_rtol)
-    ]
+    checks = [check_le("particular", eq_residual((a, fam.particular), c), tol.res_rtol)]
     for j in range(2):
         x = fam.instantiate([rng.complex_gaussian(n, n)])
-        checks.append(check_le(f"draw{j}", rel_residual(a @ x - c, c), tol.res_rtol))
+        checks.append(check_le(f"draw{j}", eq_residual((a, x), c), tol.res_rtol))
     if r < n:
         crit = _rejection(douglas_solve, fa, rng.complex_gaussian(n, n), tol)
-        checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
+        checks.append(_refuted("unsolvable_margin", crit, tol))
         checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
 
@@ -225,7 +229,7 @@ def _suite_lem2_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     return (
         check_le("null_left_kills", rel_residual(p_null_left @ b, b), tol.res_rtol),
         check_le("null_right_kills", rel_residual(b @ p_null_right, b), tol.res_rtol),
-        check_le("block_compress", rel_residual(b - p_range @ b @ p_corange, b), tol.res_rtol),
+        check_le("block_compress", eq_residual((p_range, b, p_corange), b), tol.res_rtol),
     )
 
 
@@ -242,15 +246,15 @@ def _suite_thm2_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     crit_neg = system_criterion_residual(fa, b_neg, tol)
     oracle_pos = _oracle_rel(a, b_pos)
     oracle_neg = _oracle_rel(a, b_neg)
-    agree = (crit_pos <= tol.res_rtol) == (oracle_pos <= tol.res_rtol) and (
+    agree = tol.holds(crit_pos) == tol.holds(oracle_pos) and (
         crit_neg >= NEG_FLOOR
     ) == (oracle_neg >= NEG_FLOOR)
     return (
         check_le("criterion_pos", crit_pos, tol.res_rtol),
         *_solves("pinv_solves", a, b_pos, ap, tol),
         check_le("oracle_pos", oracle_pos, tol.res_rtol),
-        check_ge("criterion_neg", crit_neg, NEG_FLOOR, tol.res_rtol),
-        check_ge("oracle_neg", oracle_neg, NEG_FLOOR, tol.res_rtol),
+        _refuted("criterion_neg", crit_neg, tol),
+        _refuted("oracle_neg", oracle_neg, tol),
         check_flag("paths_agree", agree),
     )
 
@@ -272,7 +276,7 @@ def _suite_prop2_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
         check_flag("pos_rhs", rep.passed("rhs_holds")),
         check_flag("pos_agree", rep.passed("sides_agree")),
         check_flag("rand_agree", rep_rand.passed("sides_agree")),
-        check_ge("rand_axa_margin", rep_rand.residual("eq_axa"), NEG_FLOOR, tol.res_rtol),
+        _refuted("rand_axa_margin", rep_rand.residual("eq_axa"), tol),
     )
 
 
@@ -300,14 +304,12 @@ def _suite_prop3_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     eye = np.eye(n, dtype=np.complex128)
     x = _inner_inverse(rng, a, ap)
     checks = [
-        check_le("solution_axa", rel_residual(a @ x @ a - a, a), tol.res_rtol),
+        check_le("solution_axa", eq_residual((a, x, a), a), tol.res_rtol),
         check_le("null_spaces_equal", rel_residual(a @ (eye - ap @ a), a), tol.res_rtol),
         check_le("ranges_equal", rel_residual((eye - a @ ap) @ a, a), tol.res_rtol),
     ]
     bigger, smaller = _strict_pair(rng, n, min_extra=1)
-    checks.append(
-        check_ge("strict_pair_unsolvable", _oracle_rel(smaller, bigger), NEG_FLOOR, tol.res_rtol)
-    )
+    checks.append(_refuted("strict_pair_unsolvable", _oracle_rel(smaller, bigger), tol))
     return tuple(checks)
 
 
@@ -332,8 +334,8 @@ def _suite_rem3_5(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
         check_le("null_second_in_first", rel_residual(astar @ (eye - app @ ap), astar), tol.res_rtol),
         check_le("range_first_in_second", rel_residual((eye - astar @ astar_p) @ ap, ap), tol.res_rtol),
         check_le("range_second_in_first", rel_residual((eye - ap @ app) @ astar, astar), tol.res_rtol),
-        check_le("middle_identity", rel_residual(ap @ a @ ap - ap, ap), tol.res_rtol),
-        check_ge("order_fails", _star_gap(ap, astar), NEG_FLOOR, tol.res_rtol),
+        check_le("middle_identity", eq_residual((ap, a, ap), ap), tol.res_rtol),
+        _refuted("order_fails", _star_gap(ap, astar), tol),
     )
 
 
@@ -349,9 +351,9 @@ def _suite_thm3_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     for j in range(3):
         rep = solves_system(big, small, rng.complex_gaussian(n, n), tol)
         checks.append(check_flag(f"rand{j}_agree", rep.passed("solves_matches_dominance")))
-        checks.append(check_ge(f"rand{j}_eq_margin", rep.residual("eq_bxa"), NEG_FLOOR, tol.res_rtol))
+        checks.append(_refuted(f"rand{j}_eq_margin", rep.residual("eq_bxa"), tol))
         dom = _worst(rep, "dom_left", "dom_right")
-        checks.append(check_ge(f"rand{j}_dom_margin", dom, NEG_FLOOR, tol.res_rtol))
+        checks.append(_refuted(f"rand{j}_dom_margin", dom, tol))
     return tuple(checks)
 
 
@@ -363,14 +365,12 @@ def _suite_lem3_7(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     fa, fb = factor(a, tol), factor(b, tol)
     c = a @ rng.complex_gaussian(n, n) @ b
     fam = sandwich_solve(fa, c, fb, tol)
-    checks = [
-        check_le("particular", rel_residual(a @ fam.particular @ b - c, c), tol.res_rtol)
-    ]
+    checks = [check_le("particular", eq_residual((a, fam.particular, b), c), tol.res_rtol)]
     for j in range(2):
         x = fam.instantiate([rng.complex_gaussian(n, n)])
-        checks.append(check_le(f"draw{j}", rel_residual(a @ x @ b - c, c), tol.res_rtol))
+        checks.append(check_le(f"draw{j}", eq_residual((a, x, b), c), tol.res_rtol))
     crit = _rejection(sandwich_solve, fa, rng.complex_gaussian(n, n), fb, tol)
-    checks.append(check_ge("unsolvable_margin", crit, NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("unsolvable_margin", crit, tol))
     checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
 
@@ -405,8 +405,8 @@ def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     eye = np.eye(n, dtype=np.complex128)
     x_small = ap + (eye - bp @ small) @ rng.complex_gaussian(n, n) @ (eye - small @ bp)
     return (
-        check_le("reduced_xb", rel_residual(y @ small - target_left, target_left), tol.res_rtol),
-        check_le("reduced_bx", rel_residual(small @ y - target_right, target_right), tol.res_rtol),
+        check_le("reduced_xb", eq_residual((y, small), target_left), tol.res_rtol),
+        check_le("reduced_bx", eq_residual((small, y), target_right), tol.res_rtol),
         *_solves("converse", big, small, x_small, tol),
     )
 
@@ -447,9 +447,9 @@ def _suite_prop4_1(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
         rep = projector_char(_aligned_projector(rng, basis, rb), fb, side, tol)
         checks.append(check_flag(f"{side}_pos_verdict", rep.verdict))
         rep_neg = projector_char(_mixing_projector(basis), fb, side, tol)
-        checks.append(check_ge(f"{side}_neg_commute", rep_neg.residual("commute"), NEG_FLOOR, tol.res_rtol))
+        checks.append(_refuted(f"{side}_neg_commute", rep_neg.residual("commute"), tol))
         star = _worst(rep_neg, "star_left", "star_right")
-        checks.append(check_ge(f"{side}_neg_star", star, NEG_FLOOR, tol.res_rtol))
+        checks.append(_refuted(f"{side}_neg_star", star, tol))
         checks.append(check_flag(f"{side}_neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
@@ -469,9 +469,9 @@ def _suite_prop4_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     q_full = v[:, :rb] @ adj(v[:, :rb])
     rep_neg = pbq_char(_mixing_projector(fb.u), fb, q_full, tol)
     commute = _worst(rep_neg, "commute_range", "commute_corange")
-    checks.append(check_ge("neg_commute", commute, NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("neg_commute", commute, tol))
     star = _worst(rep_neg, "star_left", "star_right")
-    checks.append(check_ge("neg_star", star, NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("neg_star", star, tol))
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
@@ -494,8 +494,8 @@ def _suite_thm4_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     ]
     a_bad = a + 0.1 * (adj(c) @ rng.complex_gaussian(n, n) @ adj(c))
     crit = _rejection(deng_decompose, a_bad, c, tol)
-    checks.append(check_ge("neg_criterion", crit, NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", _star_gap(c, a_bad), NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("neg_criterion", crit, tol))
+    checks.append(_refuted("neg_star", _star_gap(c, a_bad), tol))
     checks.append(check_flag("neg_raises", not np.isnan(crit)))
     return tuple(checks)
 
@@ -531,17 +531,10 @@ def _suite_thm4_5(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
         check_le("converse_star", _star_gap(b, a), tol.res_rtol),
     ]
     a_bad = a + 0.1 * (b @ adj(b) @ rng.complex_gaussian(n, n))
-    crit = rel_residual(left @ (a_bad - b) @ right - (a_bad - b), a_bad - b)
-    checks.append(check_ge("neg_criterion", crit, NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", _star_gap(b, a_bad), NEG_FLOOR, tol.res_rtol))
-    checks.append(
-        check_ge(
-            "neg_recon",
-            rel_residual(a_bad - b - left @ a_bad @ right, a_bad),
-            NEG_FLOOR,
-            tol.res_rtol,
-        )
-    )
+    crit = eq_residual((left, a_bad - b, right), a_bad - b)
+    checks.append(_refuted("neg_criterion", crit, tol))
+    checks.append(_refuted("neg_star", _star_gap(b, a_bad), tol))
+    checks.append(_refuted("neg_recon", rel_residual(a_bad - b - left @ a_bad @ right, a_bad), tol))
     return tuple(checks)
 
 
@@ -560,8 +553,8 @@ def _suite_thm4_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     jout = m1 + rng.randint(n - m1)
     v = u[:, jout]
     b_bad = b + 0.1 * np.outer(v, v.conj())
-    checks.append(check_ge("neg_idempotent", idempotent_defect(b_bad), NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("neg_idempotent", idempotent_defect(b_bad), tol))
+    checks.append(_refuted("neg_star", _star_gap(b_bad, a), tol))
     return tuple(checks)
 
 
@@ -617,8 +610,8 @@ def _suite_prop4_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
             not (rep_neg.passed("lower_bound_of_a") and rep_neg.passed("lower_bound_of_ccstar")),
         )
     )
-    checks.append(check_ge("neg_idempotent", rep_neg.residual("b_idempotent"), NEG_FLOOR, tol.res_rtol))
-    checks.append(check_ge("neg_star", _star_gap(b_bad, a), NEG_FLOOR, tol.res_rtol))
+    checks.append(_refuted("neg_idempotent", rep_neg.residual("b_idempotent"), tol))
+    checks.append(_refuted("neg_star", _star_gap(b_bad, a), tol))
     return tuple(checks)
 
 
@@ -628,9 +621,9 @@ def _suite_inverse_along(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple
     ap = pinv(a, tol)
     astar = adj(a)
     return (
-        check_le("astar_a_pinv", rel_residual(astar @ a @ ap - astar, astar), _TIGHT),
-        check_le("pinv_a_astar", rel_residual(ap @ a @ astar - astar, astar), _TIGHT),
-        check_le("along_itself", rel_residual(a @ ap @ a - a, a), _TIGHT),
+        check_le("astar_a_pinv", eq_residual((astar, a, ap), astar), _TIGHT),
+        check_le("pinv_a_astar", eq_residual((ap, a, astar), astar), _TIGHT),
+        check_le("along_itself", eq_residual((a, ap, a), a), _TIGHT),
     )
 
 
@@ -645,8 +638,8 @@ def _suite_oracle_agreement(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tu
     for name, b in (("structured", b_structured), ("raw", b_raw)):
         direct = system_criterion_residual(fa, b, tol)
         oracle = _oracle_rel(a, b)
-        direct_ok = direct <= tol.res_rtol
-        oracle_ok = oracle <= tol.res_rtol
+        direct_ok = tol.holds(direct)
+        oracle_ok = tol.holds(oracle)
         checks.append(check_flag(f"{name}_agree", direct_ok == oracle_ok))
         checks.append(_check_clean(f"{name}_direct", direct, tol.res_rtol, NEG_FLOOR, direct_ok))
         checks.append(_check_clean(f"{name}_oracle", oracle, tol.res_rtol, NEG_FLOOR, oracle_ok))

@@ -24,6 +24,7 @@ from staralg import (
     UnsolvableError,
     gen_star_pair,
     pinv,
+    solves_system,
     system_general,
 )
 from staralg import cli
@@ -488,23 +489,25 @@ def test_missing_operand_is_usage_error(capsys, command, option):
     assert f"the following arguments are required: {option}" in capsys.readouterr().err
 
 
-def test_residual_overflow_exits_three(tmp_path, capsys):
-    """At 1e150 the entries are finite but the residual norms overflow: the
-    answer is a numeric failure, not an X for an unrelated pair or a "no"
-    for a related one."""
+def test_residual_norm_overflow_gets_the_right_answer(tmp_path, capsys):
+    """The entries are finite but the residual norms overflow: a related pair
+    is still "yes" and gets an X, and an unrelated pair is still refused."""
     big, small = gen_star_pair(4, 2, 1, Seed(3))
     unrelated = gen_star_pair(4, 2, 1, Seed(4))[1]
-    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "r", "x")}
-    for name, m in (("a", big), ("b", small), ("r", unrelated)):
-        write_matrix(paths[name], 1e150 * m)
-    with np.errstate(over="ignore"):
-        assert run("solve", "system", "--a", str(paths["a"]), "--b", str(paths["r"]),
-                   "--out", str(paths["x"])) == 3
-        assert run("check", "star-order", "--a", str(paths["b"]), "--b", str(paths["a"])) == 3
-    assert not paths["x"].exists()
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("error: residual norm overflows") == 2
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "r", "x", "y")}
+    for scale in (1e80, 1e150):
+        for name, m in (("a", big), ("b", small), ("r", unrelated)):
+            write_matrix(paths[name], scale * m)
+        with np.errstate(over="ignore"):
+            assert run("check", "star-order", "--a", str(paths["b"]), "--b", str(paths["a"])) == 0
+            assert capsys.readouterr().out.endswith("star_order=yes\n")
+            assert run("solve", "system", "--a", str(paths["a"]), "--b", str(paths["b"]),
+                       "--out", str(paths["x"])) == 0
+            assert solves_system(scale * big, scale * small, parse_matrix(paths["x"])).verdict
+            assert run("solve", "system", "--a", str(paths["a"]), "--b", str(paths["r"]),
+                       "--out", str(paths["y"])) == 1
+        assert not paths["y"].exists()
+        assert "requires b <=* a" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staralg import (
     DEFAULT_TOL,
@@ -13,14 +15,17 @@ from staralg import (
     as_cmat,
     factor,
     gen_rank_r,
+    gen_star_pair,
     hermitian_defect,
     idempotent_defect,
     meet_projector,
     pinv,
     projectors,
     rel_residual,
+    star_leq,
 )
 from staralg.genlab import unitary
+from staralg.matcore import eq_residual
 
 
 def seeded_matrices(count=200, max_dim=8):
@@ -194,6 +199,40 @@ def test_rel_residual_convention():
     assert rel_residual(np.eye(2), np.eye(2)) == pytest.approx(1.0)
     e = np.array([[3.0, 4.0]])
     assert rel_residual(e, np.zeros((1, 2))) == pytest.approx(5.0)
+
+
+HAND_BUILT = {
+    1: lambda f: f[0],
+    2: lambda f: f[0] @ f[1],
+    5: lambda f: f[0] @ f[1] @ f[2] @ f[3] @ f[4],
+}
+
+
+@pytest.mark.parametrize("count", sorted(HAND_BUILT))
+def test_eq_residual_is_the_hand_built_residual(count):
+    rng = SplitMix64(Seed(11, count))
+    factors = tuple(rng.complex_gaussian(4, 4) for _ in range(count))
+    rhs = rng.complex_gaussian(4, 4)
+    product = HAND_BUILT[count](factors)
+    assert eq_residual(factors, rhs) == rel_residual(product - rhs, rhs)
+    assert eq_residual(product, rhs) == rel_residual(product - rhs, rhs)
+
+
+def test_tol_holds_is_a_closed_threshold():
+    tol = Tol(res_rtol=1e-8)
+    assert tol.holds(1e-8, 0.0)
+    assert tol.holds()
+    assert not tol.holds(0.0, 1.0000001e-8)
+    assert not tol.holds(float("nan"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=150.0), st.integers(min_value=1, max_value=4))
+def test_star_leq_of_a_true_pair_is_scale_free_upward(exponent, root):
+    big, small = gen_star_pair(6, 2, 2, Seed(root))
+    t = 10.0**exponent
+    with np.errstate(over="ignore"):
+        assert star_leq(t * small, t * big)
 
 
 def test_tol_validation():

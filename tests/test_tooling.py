@@ -57,14 +57,19 @@ def test_every_public_function_and_class_is_reached():
     assert sorted(set(public) - used) == []
 
 
+# numpy routines that run an SVD of their own
+_SVD_ROUTINES = {"svd", "cond", "matrix_rank", "pinv"}
+
+
 def test_one_rank_decision():
-    """``np.linalg.svd`` is called, and ``rank_rtol`` enters arithmetic, only in matcore."""
+    """An SVD is taken (``np.linalg.svd``, or ``cond``/``matrix_rank``/``pinv``,
+    which hide one), and ``rank_rtol`` enters arithmetic, only in matcore."""
     found = []
     for name, tree in _trees(SRC).items():
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "svd"
+            if (isinstance(node, ast.Attribute) and node.attr in _SVD_ROUTINES
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
-                found.append(f"{name}:{node.lineno} np.linalg.svd")
+                found.append(f"{name}:{node.lineno} np.linalg.{node.attr}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found.append(f"{name}:{node.lineno} imports from {node.module}")
             if isinstance(node, ast.BinOp):
@@ -167,3 +172,52 @@ def test_no_operation_factors_an_adjoint_it_could_read_off():
                 for arg in [*node.args, *(k.value for k in node.keywords)])
     ]
     assert found == [], found
+
+
+def _restated_references(tree: ast.AST) -> list[ast.Call]:
+    """``rel_residual(x - y, ref)`` calls whose ``ref`` repeats x or y: an
+    equation x = y that ``eq_residual`` states once."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _callee(node) == "rel_residual"
+                and len(node.args) == 2 and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Sub)):
+            continue
+        diff, ref = node.args
+        if ast.dump(ref) in (ast.dump(diff.left), ast.dump(diff.right)):
+            found.append(node)
+    return found
+
+
+def test_residuals_state_their_equation():
+    """Outside matcore, a residual of an equation x = y is ``eq_residual``,
+    never a difference whose reference is written a second time."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(SRC).items() if name != "matcore.py"
+             for node in _restated_references(tree)]
+    assert found == [], found
+
+
+def test_one_acceptance_test():
+    """``res_rtol`` is compared only in matcore (``Tol.holds``), as
+    ``rank_rtol`` enters arithmetic only there."""
+    found = [
+        f"{name}:{node.lineno}" for name, tree in _trees(SRC).items() if name != "matcore.py"
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "res_rtol"
+                for side in (node.left, *node.comparators))
+    ]
+    assert found == [], found
+
+
+def test_one_negative_threshold():
+    """In the suites, ``NEG_FLOOR`` reaches ``check_ge`` only through ``_refuted``."""
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_refuted":
+            inside |= {id(node) for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _callee(node) == "check_ge"
+             and any(isinstance(arg, ast.Name) and arg.id == "NEG_FLOOR" for arg in node.args)]
+    assert [node.lineno for node in calls if id(node) not in inside] == []
+    assert len(calls) == 1

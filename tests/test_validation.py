@@ -1,10 +1,12 @@
 """Validation contract: public entry points reject malformed input with
-PreconditionError, and extreme magnitudes never leak a NaN residual."""
+PreconditionError, and extreme magnitudes get the right answer or an error,
+never a NaN residual."""
 
 import numpy as np
 import pytest
 
 from staralg import (
+    NotComparableError,
     NumericError,
     PreconditionError,
     Seed,
@@ -87,15 +89,26 @@ def test_star_residuals_at_extreme_scale_raises_instead_of_nan(swap):
 
 
 @pytest.mark.parametrize("call", [star_residuals, star_leq], ids=lambda f: f.__name__)
-def test_residual_overflow_on_finite_entries_is_a_numeric_error(call):
+def test_residual_norm_overflow_on_finite_entries_gets_the_right_answer(call):
     # the entries and their products are finite, but the Frobenius norms overflow
     big, small = gen_star_pair(6, 2, 2, Seed(5))
-    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
-        call(1e150 * small, 1e150 * big)
+    with np.errstate(over="ignore"):
+        got = call(1e150 * small, 1e150 * big)
+    if call is star_leq:
+        assert got is True
+    else:
+        assert max(got) <= 1e-15
 
 
-def test_system_family_of_an_unrelated_pair_overflowing_is_a_numeric_error():
+def test_system_family_of_an_unrelated_pair_overflowing_is_not_comparable():
     big = gen_star_pair(6, 2, 2, Seed(5))[0]
     unrelated = gen_star_pair(6, 2, 2, Seed(6))[1]
-    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+    with pytest.raises(NotComparableError) as info, np.errstate(over="ignore"):
         system_family(1e150 * big, 1e150 * unrelated)
+    assert info.value.residuals == pytest.approx(star_residuals(unrelated, big), rel=1e-12)
+
+
+def test_a_residual_beyond_the_double_range_is_a_numeric_error():
+    e = np.full((2, 2), 1e308, dtype=np.complex128)  # ||e||_F = 2e308
+    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+        rel_residual(e, np.zeros((2, 2)))

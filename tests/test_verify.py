@@ -122,7 +122,9 @@ def test_report_stream_digest_is_pinned(tmp_path, dims):
 # SVDs made by 10 trials at dims 6, seed 1: a suite factors each operand of a
 # trial once and passes the Factor on, a star pair's b+ is read off a's factor
 # as a+ b a+, and one array passed as both operands of a solver is factored
-# once.  A count that rises means some operand is factored again.
+# once.  A count that rises means some operand is factored again.  thm4.3 and
+# lem4.7 also count the one SVD per skewed idempotent draw that checks its
+# conditioning.
 SVD_BUDGETS = {
     "douglas": 10,
     "thm2.3": 20,
@@ -135,7 +137,8 @@ SVD_BUDGETS = {
     "thm3.11": 40,
     "prop4.1": 10,
     "prop4.2": 10,
-    "thm4.3": 20,
+    "thm4.3": 30,
+    "lem4.7": 20,
     "prop4.9": 20,
     "oracle-agreement": 10,
 }
