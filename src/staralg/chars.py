@@ -16,7 +16,6 @@ import numpy as np
 from .errors import PreconditionError, UnsolvableError
 from .matcore import (
     DEFAULT_TOL,
-    Tol,
     adj,
     eq_residual,
     factor,
@@ -42,43 +41,43 @@ __all__ = [
 ]
 
 
-def _require_range_in(p: np.ndarray, proj: np.ndarray, tol: Tol, p_name: str, b_name: str) -> None:
+def _require_range_in(p: np.ndarray, proj: np.ndarray, p_name: str, b_name: str) -> None:
     """Raise unless range(p) <= range(b); ``proj`` is the projector onto range(b)."""
     if p.shape[0] != proj.shape[0]:
         raise PreconditionError(
             f"row dimensions differ: {p_name} has {p.shape[0]}, {b_name} has {proj.shape[0]}"
         )
     gap = eq_residual((proj, p), p)
-    if not tol.holds(gap):
+    if not DEFAULT_TOL.holds(gap):
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
 
 
-def _split_certificates(b: np.ndarray, x: np.ndarray, rt: float) -> tuple[Check, ...]:
+def _split_certificates(b: np.ndarray, x: np.ndarray) -> tuple[Check, ...]:
     """The certificates of a split b + x: both summands idempotent, b* x = x b* = 0."""
     return (
-        check_le("b_idempotent", idempotent_defect(b), rt),
-        check_le("x_idempotent", idempotent_defect(x), rt),
-        check_le("bstar_x", rel_residual(adj(b) @ x, b), rt),
-        check_le("x_bstar", rel_residual(x @ adj(b), b), rt),
+        check_le("b_idempotent", idempotent_defect(b)),
+        check_le("x_idempotent", idempotent_defect(x)),
+        check_le("bstar_x", rel_residual(adj(b) @ x, b)),
+        check_le("x_bstar", rel_residual(x @ adj(b), b)),
     )
 
 
-def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL) -> Report:
+def projector_char(p, b, side: Literal["left", "right"]) -> Report:
     """One-sided compression test: p b <=* b iff p commutes with b b*.
 
     ``side="left"`` tests p b against commutation of p with b b* (requires
     range(p) <= range(b)); ``side="right"`` tests b p against commutation of
     p with b* b (requires range(p) <= range(b*)).
     """
-    pm = require_projector(p, tol, "p")
-    fb = factor(b, tol)
+    pm = require_projector(p, "p")
+    fb = factor(b)
     bm = fb.m
     if side == "left":
-        _require_range_in(pm, bm @ fb.pinv, tol, "p", "b")
+        _require_range_in(pm, bm @ fb.pinv, "p", "b")
         gram = bm @ adj(bm)
         compressed = pm @ bm
     elif side == "right":
-        _require_range_in(pm, fb.pinv @ bm, tol, "p", "b*")
+        _require_range_in(pm, fb.pinv @ bm, "p", "b*")
         gram = adj(bm) @ bm
         compressed = bm @ pm
     else:
@@ -86,26 +85,26 @@ def projector_char(p, b, side: Literal["left", "right"], tol: Tol = DEFAULT_TOL)
 
     commute = rel_residual(pm @ gram - gram @ pm, gram)
     s1, s2 = star_residuals(compressed, bm)
-    star_holds = tol.holds(s1, s2)
-    commute_holds = tol.holds(commute)
+    star_holds = DEFAULT_TOL.holds(s1, s2)
+    commute_holds = DEFAULT_TOL.holds(commute)
     checks = (
-        check_le("star_left", s1, tol.res_rtol),
-        check_le("star_right", s2, tol.res_rtol),
-        check_le("commute", commute, tol.res_rtol),
+        check_le("star_left", s1),
+        check_le("star_right", s2),
+        check_le("commute", commute),
         check_flag("sides_agree", star_holds == commute_holds),
     )
     return Report(suite=f"projector-char-{side}", trial=0, checks=checks)
 
 
-def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
+def pbq_char(p, b, q) -> Report:
     """Two-sided compression test: p b q <=* b iff the two commutation
     identities p b q b* = b q b* p and q b* p b = b* p b q hold."""
-    pm = require_projector(p, tol, "p")
-    fb = factor(b, tol)
+    pm = require_projector(p, "p")
+    fb = factor(b)
     bm = fb.m
-    qm = require_projector(q, tol, "q")
-    _require_range_in(pm, bm @ fb.pinv, tol, "p", "b")
-    _require_range_in(qm, fb.pinv @ bm, tol, "q", "b*")
+    qm = require_projector(q, "q")
+    _require_range_in(pm, bm @ fb.pinv, "p", "b")
+    _require_range_in(qm, fb.pinv @ bm, "q", "b*")
 
     compressed = pm @ bm @ qm
     right = bm @ qm @ adj(bm)
@@ -113,19 +112,19 @@ def pbq_char(p, b, q, tol: Tol = DEFAULT_TOL) -> Report:
     c1 = rel_residual(pm @ right - right @ pm, right)
     c2 = rel_residual(qm @ left - left @ qm, left)
     s1, s2 = star_residuals(compressed, bm)
-    star_holds = tol.holds(s1, s2)
-    commute_holds = tol.holds(c1, c2)
+    star_holds = DEFAULT_TOL.holds(s1, s2)
+    commute_holds = DEFAULT_TOL.holds(c1, c2)
     checks = (
-        check_le("star_left", s1, tol.res_rtol),
-        check_le("star_right", s2, tol.res_rtol),
-        check_le("commute_range", c1, tol.res_rtol),
-        check_le("commute_corange", c2, tol.res_rtol),
+        check_le("star_left", s1),
+        check_le("star_right", s2),
+        check_le("commute_range", c1),
+        check_le("commute_corange", c2),
         check_flag("sides_agree", star_holds == commute_holds),
     )
     return Report(suite="pbq-char", trial=0, checks=checks)
 
 
-def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+def deng_decompose(a, c_idempotent) -> SolutionFamily:
     """Witness family for c <=* a when c is idempotent.
 
     Solves (I - c*) X (I - c*) = a - c; each instantiation reconstructs a as
@@ -134,15 +133,15 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     """
     am, cm, n = square_pair(a, c_idempotent)
     defect = idempotent_defect(cm)
-    if not tol.holds(defect):
+    if not DEFAULT_TOL.holds(defect):
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
     # I - c* may be rounding noise (c close to the identity): hint its rank
     # decision with the scale of c
     outer = factor(
-        np.eye(n, dtype=np.complex128) - adj(cm), tol, max(1.0, float(np.linalg.norm(cm)))
+        np.eye(n, dtype=np.complex128) - adj(cm), scale=max(1.0, float(np.linalg.norm(cm)))
     )
     try:
-        return sandwich_solve(outer, am - cm, outer, tol)
+        return sandwich_solve(outer, am - cm, outer)
     except UnsolvableError as exc:
         raise UnsolvableError(
             "no decomposition a = c + (I - c*) X (I - c*): "
@@ -151,7 +150,7 @@ def deng_decompose(a, c_idempotent, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
         ) from exc
 
 
-def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
+def gp_check(a) -> Report:
     """Diagnostic for generalized projections (a@a == a*).
 
     Reports the defining defect plus the derived facts that a**3 is the
@@ -160,28 +159,27 @@ def gp_check(a, tol: Tol = DEFAULT_TOL) -> Report:
     am = square(a, "a")
     a2 = am @ am
     a3 = a2 @ am
-    p_range = am @ factor(a, tol).pinv
-    rt = tol.res_rtol
+    p_range = am @ factor(a).pinv
     checks = (
-        check_le("gp_defect", eq_residual(a2, adj(am)), rt),
-        check_le("cube_hermitian", rel_residual(a3 - adj(a3), am), rt),
-        check_le("cube_idempotent", rel_residual(a3 @ a3 - a3, am), rt),
-        check_le("cube_is_range_projector", rel_residual(a3 - p_range, am), rt),
+        check_le("gp_defect", eq_residual(a2, adj(am))),
+        check_le("cube_hermitian", rel_residual(a3 - adj(a3), am)),
+        check_le("cube_idempotent", rel_residual(a3 @ a3 - a3, am)),
+        check_le("cube_is_range_projector", rel_residual(a3 - p_range, am)),
     )
     return Report(suite="gp-check", trial=0, checks=checks)
 
 
-def gp_decompose(a, b_gp, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def gp_decompose(a, b_gp) -> np.ndarray:
     """Witness X with a = b + (I - b b*) X (I - b* b) for a generalized
     projection b with b <=* a.  X = a itself is such a witness."""
     am, bm, _ = square_pair(a, b_gp)
-    if not gp_check(bm, tol).verdict:
+    if not gp_check(bm).verdict:
         raise PreconditionError("b is not a generalized projection")
-    require_star_leq(bm, am, tol, "gp_decompose requires b <=* a")
+    require_star_leq(bm, am, "gp_decompose requires b <=* a")
     return am.copy()
 
 
-def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
+def meet_split(a_gp, b) -> tuple[np.ndarray, Report]:
     """Split a a* = b + x into idempotent summands with b* x = x b* = 0.
 
     Requires a generalized projection a and a common star lower bound b of
@@ -189,22 +187,21 @@ def meet_split(a_gp, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
     carries the absorption identities a b = b a = a* b = b a* = b.
     """
     am, bm, _ = square_pair(a_gp, b)
-    if not gp_check(am, tol).verdict:
+    if not gp_check(am).verdict:
         raise PreconditionError("a is not a generalized projection")
-    require_star_leq(bm, am, tol, "meet_split requires b <=* a")
-    require_star_leq(bm, adj(am), tol, "meet_split requires b <=* a*")
+    require_star_leq(bm, am, "meet_split requires b <=* a")
+    require_star_leq(bm, adj(am), "meet_split requires b <=* a*")
     x = am @ adj(am) - bm
-    rt = tol.res_rtol
-    checks = _split_certificates(bm, x, rt) + (
-        check_le("ab_absorb", eq_residual((am, bm), bm), rt),
-        check_le("ba_absorb", eq_residual((bm, am), bm), rt),
-        check_le("astar_b_absorb", eq_residual((adj(am), bm), bm), rt),
-        check_le("b_astar_absorb", eq_residual((bm, adj(am)), bm), rt),
+    checks = _split_certificates(bm, x) + (
+        check_le("ab_absorb", eq_residual((am, bm), bm)),
+        check_le("ba_absorb", eq_residual((bm, am), bm)),
+        check_le("astar_b_absorb", eq_residual((adj(am), bm), bm)),
+        check_le("b_astar_absorb", eq_residual((bm, adj(am)), bm)),
     )
     return x, Report(suite="meet-split", trial=0, checks=checks)
 
 
-def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Report]:
+def idempotent_split(a_idem, b) -> tuple[np.ndarray, Report]:
     """Split an idempotent a as b + x with x idempotent and b* x = x b* = 0.
 
     The certificates hold exactly when b <=* a, so for a non-comparable b the
@@ -213,17 +210,17 @@ def idempotent_split(a_idem, b, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, Rep
     """
     am, bm, _ = square_pair(a_idem, b)
     defect = idempotent_defect(am)
-    if not tol.holds(defect):
+    if not DEFAULT_TOL.holds(defect):
         raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
     x = am - bm
-    certs = _split_certificates(bm, x, tol.res_rtol)
+    certs = _split_certificates(bm, x)
     certs_hold = all(c.passed for c in certs)
-    star = star_leq(bm, am, tol)
+    star = star_leq(bm, am)
     checks = certs + (check_flag("star_matches_certificates", star == certs_hold),)
     return x, Report(suite="idempotent-split", trial=0, checks=checks)
 
 
-def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
+def common_lower_bound(a, c_gp, b) -> Report:
     """Diagnostic: is b a common star lower bound of a and c c*?
 
     Side one is the pair of order relations b <=* a and b <=* c c*.  Side two
@@ -234,31 +231,30 @@ def common_lower_bound(a, c_gp, b, tol: Tol = DEFAULT_TOL) -> Report:
     """
     am, cm, _ = square_pair(a, c_gp)
     _, bm, _ = square_pair(am, b)
-    if not gp_check(c_gp, tol).verdict:
+    if not gp_check(c_gp).verdict:
         raise PreconditionError("c is not a generalized projection")
     cc = cm @ adj(cm)
-    below_a = star_leq(bm, am, tol)
-    below_cc = star_leq(bm, cc, tol)
+    below_a = star_leq(bm, am)
+    below_cc = star_leq(bm, cc)
     lhs = below_a and below_cc
 
     b_idem = idempotent_defect(bm)
     try:
-        deng_decompose(am, bm, tol)
+        deng_decompose(am, bm)
         witness_exists = True
     except (PreconditionError, UnsolvableError):
         witness_exists = False
     y = cc - bm
     y_left = rel_residual(adj(bm) @ y, bm)
     y_right = rel_residual(y @ adj(bm), bm)
-    rt = tol.res_rtol
-    rhs = witness_exists and tol.holds(b_idem, y_left, y_right)
+    rhs = witness_exists and DEFAULT_TOL.holds(b_idem, y_left, y_right)
     checks = (
         check_flag("lower_bound_of_a", below_a),
         check_flag("lower_bound_of_ccstar", below_cc),
-        check_le("b_idempotent", b_idem, rt),
+        check_le("b_idempotent", b_idem),
         check_flag("sandwich_witness_exists", witness_exists),
-        check_le("bstar_y", y_left, rt),
-        check_le("y_bstar", y_right, rt),
+        check_le("bstar_y", y_left),
+        check_le("y_bstar", y_right),
         check_flag("sides_agree", lhs == rhs),
     )
     return Report(suite="common-lower-bound", trial=0, checks=checks)

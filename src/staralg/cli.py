@@ -26,7 +26,7 @@ from . import __version__
 from .chars import gp_check
 from .errors import MatrixFormatError, NumericError, StaralgError
 from .genlab import PRNG_NAME, Seed, gen_gp, gen_idempotent, gen_rank_r, gen_star_pair
-from .matcore import DEFAULT_TOL, Tol, as_cmat, pinv
+from .matcore import DEFAULT_TOL, as_cmat, pinv
 from .report import to_line
 from .solvers import (
     sandwich_solve,
@@ -151,10 +151,6 @@ def write_matrix(path, m) -> None:
     Path(path).write_text(format_matrix(m), encoding="utf-8")
 
 
-def _tol_from(args: argparse.Namespace) -> Tol:
-    return Tol(rank_rtol=args.rank_rtol, res_rtol=args.res_rtol)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="staralg",
@@ -168,10 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
             f"rank_rtol={DEFAULT_TOL.rank_rtol:g}, res_rtol={DEFAULT_TOL.res_rtol:g})"
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-rtol", type=float, default=DEFAULT_TOL.rank_rtol)
-    common.add_argument("--res-rtol", type=float, default=DEFAULT_TOL.res_rtol)
-    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--a", required=True)
     pair.add_argument("--b", required=True)
     out = argparse.ArgumentParser(add_help=False)
@@ -182,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pinv = sub.add_parser("pinv", parents=[common, out], help="write the pseudoinverse of a matrix")
+    p_pinv = sub.add_parser("pinv", parents=[out], help="write the pseudoinverse of a matrix")
     p_pinv.add_argument("--in", dest="infile", required=True)
     p_pinv.set_defaults(run=_cmd_pinv)
 
@@ -190,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=_cmd_check)
     check_sub = p_check.add_subparsers(dest="predicate", required=True)
     check_sub.add_parser("star-order", parents=[pair], help="is a below b in the star order?")
-    p_gp = check_sub.add_parser("gp", parents=[common], help="is a a generalized projection?")
+    p_gp = check_sub.add_parser("gp", help="is a a generalized projection?")
     p_gp.add_argument("--a", required=True)
     check_sub.add_parser(
         "solvable", parents=[pair], help="is b X a = b = a X b solvable (b self-adjoint)?"
@@ -208,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "hermitian", parents=[pair, out], help="hermitian solution of b X a = b = a X b"
     )
     p_herm.add_argument("--w", default=None, help="hermitian free parameter (defaults to zero)")
-    p_sand = solve_sub.add_parser("sandwich", parents=[common, out], help="a X b = c")
+    p_sand = solve_sub.add_parser("sandwich", parents=[out], help="a X b = c")
     p_sand.add_argument("--a", required=True)
     p_sand.add_argument("--c", required=True)
     p_sand.add_argument("--b", required=True)
@@ -244,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_rank.add_argument("--cols", type=int, required=True)
     g_rank.add_argument("--rank", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run claim suites")
+    p_verify = sub.add_parser("verify", help="run claim suites")
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--trials", type=int, default=50)
@@ -262,55 +255,53 @@ def _load_or_zeros(path: str | None, shape: tuple[int, int]) -> np.ndarray:
 
 def _cmd_pinv(args: argparse.Namespace) -> int:
     a = parse_matrix(args.infile)
-    write_matrix(args.out, pinv(a, _tol_from(args)))
+    write_matrix(args.out, pinv(a))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    tol = _tol_from(args)
     if args.predicate == "star-order":
         r1, r2 = star_residuals(parse_matrix(args.a), parse_matrix(args.b))
-        holds = tol.holds(r1, r2)
+        holds = DEFAULT_TOL.holds(r1, r2)
         print(f"residual_aa_adj={r1:.5e}")
         print(f"residual_adj_aa={r2:.5e}")
         print(f"star_order={'yes' if holds else 'no'}")
         return 0 if holds else 1
     if args.predicate == "gp":
-        rep = gp_check(parse_matrix(args.a), tol)
+        rep = gp_check(parse_matrix(args.a))
         for c in rep.checks:
             print(f"{c.name}={c.residual:.5e}")
         print(f"generalized_projection={'yes' if rep.verdict else 'no'}")
         return 0 if rep.verdict else 1
-    ok = system_solvable(parse_matrix(args.a), parse_matrix(args.b), tol)
+    ok = system_solvable(parse_matrix(args.a), parse_matrix(args.b))
     print(f"solvable={'yes' if ok else 'no'}")
     return 0 if ok else 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    tol = _tol_from(args)
     if args.equation == "system":
         a = parse_matrix(args.a)
         b = parse_matrix(args.b)
         if args.s is None and args.t is None:
             # X(0, 0) bit for bit: it adds zero terms to b+, which turn a -0.0 into +0.0
-            x = system_family(a, b, tol).particular + 0.0
+            x = system_family(a, b).particular + 0.0
         else:
             n = a.shape[0]
             s = _load_or_zeros(args.s, (n, n))
             t = _load_or_zeros(args.t, (n, n))
-            x = system_general(a, b, s, t, tol)
+            x = system_general(a, b, s, t)
         write_matrix(args.out, x)
         return 0
     if args.equation == "hermitian":
         a = parse_matrix(args.a)
         b = parse_matrix(args.b)
         w = _load_or_zeros(args.w, (a.shape[0], a.shape[0]))
-        write_matrix(args.out, system_hermitian(a, b, w, tol))
+        write_matrix(args.out, system_hermitian(a, b, w))
         return 0
     a = parse_matrix(args.a)
     c = parse_matrix(args.c)
     b = parse_matrix(args.b)
-    fam = sandwich_solve(a, c, b, tol)
+    fam = sandwich_solve(a, c, b)
     if args.u is None:
         x = fam.particular
     else:
@@ -337,12 +328,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tol_from(args)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     lines = []
     all_pass = True
     for name in names:
-        for rep in run_suite(name, args.trials, args.dims, args.seed, tol):
+        for rep in run_suite(name, args.trials, args.dims, args.seed):
             lines.append(to_line(rep))
             all_pass = all_pass and rep.verdict
     stream = "\n".join(lines) + "\n"

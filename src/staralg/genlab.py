@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, factor, meet_projector, projectors, square
+from .matcore import adj, factor, meet_projector, projectors, square
 
 __all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_rank_r", "gen_star_pair", "gen_gp",
            "gen_idempotent", "gen_thm23_instance"]
@@ -276,7 +276,7 @@ def gen_idempotent(n: int, r: int, skew: float, seed: Seed) -> np.ndarray:
     return idempotent(SplitMix64(seed), n, r, skew)
 
 
-def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def gen_thm23_instance(a, positive: bool, seed: Seed) -> np.ndarray:
     """Seeded self-adjoint instance for the system solvability criterion.
 
     Positive instances compress a Hermitian Gaussian into
@@ -286,6 +286,6 @@ def gen_thm23_instance(a, positive: bool, seed: Seed, tol: Tol = DEFAULT_TOL) ->
     requesting a negative for invertible a is an error.
     """
     am = square(a, "a")
-    p_range, p_corange, _, _ = projectors(am, tol)
-    meet = meet_projector(p_range, p_corange, tol)
+    p_range, p_corange, _, _ = projectors(am)
+    meet = meet_projector(p_range, p_corange)
     return thm23_instance(SplitMix64(seed), meet, positive)

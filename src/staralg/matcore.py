@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NumericError, PreconditionError
 
 __all__ = [
-    "Tol",
     "DEFAULT_TOL",
     "Factor",
     "adj",
@@ -36,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tol:
-    """Tolerance policy used by every approximate predicate.
+    """The package's one tolerance policy, used by every approximate predicate.
 
     rank_rtol: relative singular-value cutoff (scaled by sigma_max * max(m, n)).
     res_rtol:  relative residual threshold for all "holds approximately" tests.
@@ -44,12 +43,6 @@ class Tol:
 
     rank_rtol: float = 1e-12
     res_rtol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rank_rtol < 1.0:
-            raise PreconditionError(f"rank_rtol must be in (0, 1), got {self.rank_rtol}")
-        if not 0.0 < self.res_rtol < 1.0:
-            raise PreconditionError(f"res_rtol must be in (0, 1), got {self.res_rtol}")
 
     def holds(self, *residuals: float) -> bool:
         """The one acceptance test: every residual is at most res_rtol (a tie
@@ -92,8 +85,8 @@ class Factor:
 
     ``m == u @ diag(s) @ vh`` is the full SVD (s padded by zeros); the
     singular values above ``cutoff`` count toward ``rank``, and ``pinv``
-    inverts exactly those.  ``tol`` and the rank hint ``scale`` made the
-    decision; the hint stays with the operand wherever it is passed.
+    inverts exactly those.  The decision, rank hint included, stays with the
+    operand wherever it is passed.
     """
 
     m: np.ndarray
@@ -103,11 +96,9 @@ class Factor:
     rank: int
     cutoff: float
     pinv: np.ndarray
-    tol: Tol
-    scale: float | None
 
 
-def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
+def factor(a, *, scale: float | None = None) -> Factor:
     """Validate and factor ``a``; the one rank decision of the package.
 
     Singular values at or below ``rank_rtol * sigma_max * max(m, n)`` are
@@ -116,17 +107,12 @@ def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
     data as ``scale``: the cutoff then uses ``max(sigma_max, scale)``, so a
     numerically-zero input inverts to zero instead of amplifying noise.
 
-    The hint describes an array; a Factor carries its own.  A Factor made
-    with the same tol is returned as it is, neither validated nor factored
-    again; one made with another tol is factored again from its matrix with
-    its own hint, and ``scale`` is ignored for it.
+    A Factor is returned as it is, neither validated nor factored again, so
+    it keeps the decision its own hint made; ``scale`` applies to arrays.
     """
     if isinstance(a, Factor):
-        if a.tol == tol:
-            return a
-        m, scale = a.m, a.scale
-    else:
-        m = as_cmat(a)
+        return a
+    m = as_cmat(a)
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -135,27 +121,27 @@ def factor(a, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Factor:
         ) from exc
     top = float(s[0]) if s.size else 0.0
     reference = max(top, scale) if scale is not None else top
-    cutoff = tol.rank_rtol * reference * max(m.shape)
+    cutoff = DEFAULT_TOL.rank_rtol * reference * max(m.shape)
     keep = s > cutoff
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     k = s.size
     ap = (adj(vh)[:, :k] * inv) @ adj(u[:, :k])
-    return Factor(m, u, s, vh, int(np.count_nonzero(keep)), cutoff, ap, tol, scale)
+    return Factor(m, u, s, vh, int(np.count_nonzero(keep)), cutoff, ap)
 
 
-def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse: ``factor(a, tol).pinv``."""
-    return factor(a, tol).pinv
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse: ``factor(a).pinv``."""
+    return factor(a).pinv
 
 
-def projectors(a, tol: Tol = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def projectors(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projectors onto range(a), range(a*), null(a*), null(a).
 
     Returns (a @ a+, a+ @ a, I - a @ a+, I - a+ @ a); each is Hermitian
     idempotent to within res_rtol.
     """
-    f = factor(a, tol)
+    f = factor(a)
     m, ap = f.m, f.pinv
     p_range = m @ ap
     p_corange = ap @ m
@@ -178,7 +164,8 @@ def rel_residual(e, ref) -> float:
     """
     if not (_is_cmat(e) and _is_cmat(ref)):
         e, ref = as_cmat(e), as_cmat(ref)
-    num, den = np.linalg.norm(e), np.linalg.norm(ref)
+    with np.errstate(over="ignore"):  # an overflow is retried below, not reported
+        num, den = np.linalg.norm(e), np.linalg.norm(ref)
     if not (math.isfinite(num) and math.isfinite(den)):
         # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
         as_cmat(e)
@@ -246,13 +233,13 @@ def idempotent_defect(a) -> float:
     return eq_residual((m, m), m)
 
 
-def require_projector(p, tol: Tol, name: str) -> np.ndarray:
+def require_projector(p, name: str) -> np.ndarray:
     """``p`` as a matrix; raises PreconditionError unless it is a square
     orthogonal projector, naming it."""
     pm = square(p, name)
     h = hermitian_defect(pm)
     q = idempotent_defect(pm)
-    if not tol.holds(h, q):
+    if not DEFAULT_TOL.holds(h, q):
         raise PreconditionError(
             f"{name} is not an orthogonal projector "
             f"(hermitian defect {h:.3e}, idempotent defect {q:.3e})"
@@ -260,14 +247,14 @@ def require_projector(p, tol: Tol, name: str) -> np.ndarray:
     return pm
 
 
-def meet_projector(p, q, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def meet_projector(p, q) -> np.ndarray:
     """Orthogonal projector onto range(p) & range(q) for projectors p, q.
 
     Uses the Anderson-Duffin form 2 p (p + q)+ q.  The result is dominated by
     both inputs: p @ m == m == q @ m to within res_rtol.
     """
-    pm = require_projector(p, tol, "p")
-    qm = require_projector(q, tol, "q")
+    pm = require_projector(p, "p")
+    qm = require_projector(q, "q")
     if pm.shape != qm.shape:
         raise PreconditionError(f"projector shapes differ: {pm.shape} vs {qm.shape}")
-    return 2.0 * pm @ pinv(pm + qm, tol) @ qm
+    return 2.0 * pm @ pinv(pm + qm) @ qm

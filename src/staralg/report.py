@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .matcore import DEFAULT_TOL
+
 if TYPE_CHECKING:  # pragma: no cover
     from .genlab import Seed
 
@@ -32,23 +34,23 @@ class Check:
     marginal: bool = False
 
 
-def check_le(name: str, residual: float, tol: float) -> Check:
-    """Expect ``residual <= tol``; ties within 10% of the threshold are marginal."""
-    passed = residual <= tol
-    marginal = 0.9 * tol <= residual <= 1.1 * tol
+def check_le(name: str, residual: float, limit: float = DEFAULT_TOL.res_rtol) -> Check:
+    """Expect ``residual <= limit`` (res_rtol unless given); ties within 10% of
+    the limit are marginal."""
+    passed = residual <= limit
+    marginal = 0.9 * limit <= residual <= 1.1 * limit
     return Check(name, float(residual), passed, marginal)
 
 
-def check_ge(name: str, residual: float, floor: float, pass_tol: float | None = None) -> Check:
+def check_ge(name: str, residual: float, floor: float) -> Check:
     """Expect ``residual >= floor`` (a deliberately violated property).
 
-    Residuals between ``pass_tol`` (default floor/1000) and ``floor`` fall in
-    the forbidden gray zone: they fail and are flagged marginal, forcing
+    Residuals below ``floor`` that res_rtol does not accept fall in the
+    forbidden gray zone: they fail and are flagged marginal, forcing
     investigation instead of silent flakiness.
     """
-    tiny = floor / 1000.0 if pass_tol is None else pass_tol
     passed = residual >= floor
-    marginal = (not passed) and residual > tiny
+    marginal = residual < floor and not DEFAULT_TOL.holds(residual)
     return Check(name, float(residual), passed, marginal)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import PreconditionError, UnsolvableError
 from .matcore import (
     DEFAULT_TOL,
-    Tol,
     adj,
     as_cmat,
     eq_residual,
@@ -70,18 +69,19 @@ class SolutionFamily:
         return self._apply(*mats)
 
 
-def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+def douglas_solve(a, c) -> SolutionFamily:
     """All solutions X of a X = c, i.e. X(T) = a+ c + (I - a+ a) T.
 
     Solvable exactly when range(c) <= range(a), tested via a a+ c = c.
     """
-    fa = factor(a, tol)
+    fa = factor(a)
     am, ap = fa.m, fa.pinv
     cm = as_cmat(c)
-    gap = range_inclusion_residual(cm, fa, tol)
-    if not tol.holds(gap):
+    gap = range_inclusion_residual(cm, fa)
+    if not DEFAULT_TOL.holds(gap):
         raise UnsolvableError(
-            f"a X = c is unsolvable: range criterion residual {gap:.3e} > res_rtol {tol.res_rtol:g}",
+            f"a X = c is unsolvable: range criterion residual {gap:.3e} "
+            f"> res_rtol {DEFAULT_TOL.res_rtol:g}",
             residual=gap,
         )
     particular = ap @ cm
@@ -93,11 +93,11 @@ def douglas_solve(a, c, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     return SolutionFamily(particular, ((am.shape[1], cm.shape[1]),), apply)
 
 
-def sandwich_solve(a, c, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+def sandwich_solve(a, c, b) -> SolutionFamily:
     """All solutions X of a X b = c, i.e. X(U) = a+ c b+ + U - a+ a U b b+.
 
     Solvable exactly when a a+ c b+ b = c.  A derived operand that may be
-    rounding noise is passed as its hinted ``factor(m, tol, scale)``, which
+    rounding noise is passed as its hinted ``factor(m, scale=...)``, which
     keeps its rank decision here; one Factor passed as both a and b is
     factored once.
     """
@@ -108,12 +108,13 @@ def sandwich_solve(a, c, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
         raise PreconditionError(
             f"c must be {am.shape[0]}x{bm.shape[1]} for a X b = c, got {cm.shape}"
         )
-    ap = factor(a, tol).pinv
-    bp = factor(b, tol).pinv
+    ap = factor(a).pinv
+    bp = factor(b).pinv
     crit = eq_residual((am, ap, cm, bp, bm), cm)
-    if not tol.holds(crit):
+    if not DEFAULT_TOL.holds(crit):
         raise UnsolvableError(
-            f"a X b = c is unsolvable: criterion residual {crit:.3e} > res_rtol {tol.res_rtol:g}",
+            f"a X b = c is unsolvable: criterion residual {crit:.3e} "
+            f"> res_rtol {DEFAULT_TOL.res_rtol:g}",
             residual=crit,
         )
     particular = ap @ cm @ bp
@@ -126,14 +127,14 @@ def sandwich_solve(a, c, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     return SolutionFamily(particular, ((am.shape[1], bm.shape[0]),), apply)
 
 
-def system_criterion_residual(a, b, tol: Tol = DEFAULT_TOL) -> float:
+def system_criterion_residual(a, b) -> float:
     """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
     am, bm, _ = square_pair(a, b)
-    ap = factor(a, tol).pinv
+    ap = factor(a).pinv
     return eq_residual((am, ap, bm, ap, am), bm)
 
 
-def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
+def system_solvable(a, b_selfadjoint) -> bool:
     """Solvability of b X a = b = a X b for self-adjoint b.
 
     Equivalent to (a a+) b (a+ a) = b, and to the two range inclusions
@@ -141,9 +142,9 @@ def system_solvable(a, b_selfadjoint, tol: Tol = DEFAULT_TOL) -> bool:
     """
     am, bm, _ = square_pair(a, b_selfadjoint)
     h = hermitian_defect(bm)
-    if not tol.holds(h):
+    if not DEFAULT_TOL.holds(h):
         raise PreconditionError(f"b must be self-adjoint (defect {h:.3e})")
-    return tol.holds(system_criterion_residual(a, bm, tol))
+    return DEFAULT_TOL.holds(system_criterion_residual(a, bm))
 
 
 def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -152,7 +153,7 @@ def system_residuals(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> tuple[float
     return eq_residual((b, x, a), b), eq_residual((a, x, b), b)
 
 
-def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
+def system_family(a, b) -> SolutionFamily:
     """The closed-form solution family of b X a = b = a X b, in parameters (s, t).
 
     With d = a - b, the family is
@@ -171,8 +172,8 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     the s term and X(s, t) = b+ + t - (a+ a) t (a a+).
     """
     am, bm, n = square_pair(a, b)
-    require_star_leq(bm, am, tol, "system_family requires b <=* a")
-    ap = factor(a, tol).pinv
+    require_star_leq(bm, am, "system_family requires b <=* a")
+    ap = factor(a).pinv
     bp = ap @ bm @ ap
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -182,14 +183,14 @@ def system_family(a, b, tol: Tol = DEFAULT_TOL) -> SolutionFamily:
     return SolutionFamily(bp, ((n, n), (n, n)), apply)
 
 
-def system_general(a, b, s, t, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """``system_family(a, b, tol)`` evaluated at (s, t); a parameter of the
+def system_general(a, b, s, t) -> np.ndarray:
+    """``system_family(a, b)`` evaluated at (s, t); a parameter of the
     wrong shape is reported before an order violation."""
     _, bm, _, sm, tm = square_pair(a, b, s=s, t=t)
-    return system_family(a, bm, tol).instantiate([sm, tm])
+    return system_family(a, bm).instantiate([sm, tm])
 
 
-def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
+def solves_system(a, b, x) -> Report:
     """Diagnostic: does x solve the system, and is b star-dominated by a x a?
 
     The two properties are equivalent whenever b <=* a, so the report carries
@@ -200,19 +201,19 @@ def solves_system(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     r_bxa, r_axb = system_residuals(am, bm, xm)
     axa = am @ xm @ am
     d1, d2 = star_residuals(bm, axa)
-    solves = tol.holds(r_bxa, r_axb)
-    dominated = tol.holds(d1, d2)
+    solves = DEFAULT_TOL.holds(r_bxa, r_axb)
+    dominated = DEFAULT_TOL.holds(d1, d2)
     checks = (
-        check_le("eq_bxa", r_bxa, tol.res_rtol),
-        check_le("eq_axb", r_axb, tol.res_rtol),
-        check_le("dom_left", d1, tol.res_rtol),
-        check_le("dom_right", d2, tol.res_rtol),
+        check_le("eq_bxa", r_bxa),
+        check_le("eq_axb", r_axb),
+        check_le("dom_left", d1),
+        check_le("dom_right", d2),
         check_flag("solves_matches_dominance", solves == dominated),
     )
     return Report(suite="solves-system", trial=0, checks=checks)
 
 
-def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def reduce_system(a, b, x_big) -> np.ndarray:
     """Compress a system solution to one of the reduced pair X b = a+ b, b X = b a+.
 
     Returns y = (a+ a) x_big (a a+).  Requires that x_big actually solves
@@ -220,15 +221,15 @@ def reduce_system(a, b, x_big, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """
     am, bm, _, xm = square_pair(a, b, x_big=x_big)
     r_bxa, r_axb = system_residuals(am, bm, xm)
-    if not tol.holds(r_bxa, r_axb):
+    if not DEFAULT_TOL.holds(r_bxa, r_axb):
         raise PreconditionError(
             f"x_big does not solve the system (residuals {r_bxa:.3e}, {r_axb:.3e})"
         )
-    ap = factor(a, tol).pinv
+    ap = factor(a).pinv
     return ap @ am @ xm @ am @ ap
 
 
-def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
     """Hermitian solution of the pair a X = c, X b = d.
 
     Requires the four solvability conditions (a a+ c = c, d b+ b = d,
@@ -239,8 +240,8 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
     always factored.  One Factor passed as both a and b is factored once.
     """
     am, bm, n, cm, dm, wm = square_pair(a, b, c=c, d=d, w=w_hermitian)
-    ap = factor(a, tol).pinv
-    bp = factor(b, tol).pinv
+    ap = factor(a).pinv
+    bp = factor(b).pinv
     conditions = (
         ("range_c", eq_residual((am, ap, cm), cm)),
         ("corange_d", eq_residual((dm, bp, bm), dm)),
@@ -249,28 +250,28 @@ def hermitian_system_solve(a, b, c, d, w_hermitian, tol: Tol = DEFAULT_TOL) -> n
         ("bd_hermitian", hermitian_defect(adj(bm) @ dm)),
     )
     for name, res in conditions:
-        if not tol.holds(res):
+        if not DEFAULT_TOL.holds(res):
             raise UnsolvableError(
                 f"no hermitian solution: condition {name} fails "
-                f"(residual {res:.3e} > res_rtol {tol.res_rtol:g})",
+                f"(residual {res:.3e} > res_rtol {DEFAULT_TOL.res_rtol:g})",
                 residual=res,
             )
     hw = hermitian_defect(wm)
-    if not tol.holds(hw):
+    if not DEFAULT_TOL.holds(hw):
         raise PreconditionError(f"w must be hermitian (defect {hw:.3e})")
 
     eye = np.eye(n, dtype=np.complex128)
     ker = eye - ap @ am                # I - a+ a
     m = adj(bm) @ ker
     # m collapses to rounding noise whenever range(b) sits inside range(a*)
-    mp = factor(m, tol, scale=float(np.linalg.norm(bm))).pinv
+    mp = factor(m, scale=float(np.linalg.norm(bm))).pinv
     schur = adj(dm) - adj(bm) @ ap @ cm
     ker_m = eye - mp @ m               # I - m+ m
     base = ap @ cm + ker @ mp @ schur
     return base + ker @ ker_m @ adj(base) + ker @ ker_m @ wm @ adj(ker_m) @ adj(ker)
 
 
-def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+def system_hermitian(a, b, w_hermitian) -> np.ndarray:
     """Hermitian solution of b X a = b = a X b.
 
     Requires b <=* a together with b* a+ b and b (a+)* b* Hermitian; the
@@ -278,13 +279,13 @@ def system_hermitian(a, b, w_hermitian, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     raises UnsolvableError naming a failing Hermitian condition.
     """
     am, bm, _ = square_pair(a, b)
-    require_star_leq(bm, am, tol, "system_hermitian requires b <=* a")
-    ap = factor(a, tol).pinv
-    fb = factor(b, tol)
-    return hermitian_system_solve(fb, fb, bm @ ap, ap @ bm, w_hermitian, tol)
+    require_star_leq(bm, am, "system_hermitian requires b <=* a")
+    ap = factor(a).pinv
+    fb = factor(b)
+    return hermitian_system_solve(fb, fb, bm @ ap, ap @ bm, w_hermitian)
 
 
-def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
+def prop_main_check(a, b, x) -> Report:
     """Diagnostic for the two equivalent condition bundles on (a, b, x).
 
     Left side: range(a) <= range(b), null(b) <= null(a), and x solves
@@ -294,8 +295,8 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     (PreconditionError).
     """
     am, bm, n, xm = square_pair(a, b, x=x)
-    ap = factor(a, tol).pinv
-    bp = factor(b, tol).pinv
+    ap = factor(a).pinv
+    bp = factor(b).pinv
     eye = np.eye(n, dtype=np.complex128)
 
     ra_in_rb = eq_residual((bm, bp, am), am)
@@ -305,17 +306,16 @@ def prop_main_check(a, b, x, tol: Tol = DEFAULT_TOL) -> Report:
     r_bxa, r_axb = system_residuals(am, bm, xm)
     r_axa = eq_residual((am, xm, am), am)
 
-    lhs = tol.holds(ra_in_rb, nb_in_na, r_bxa, r_axb)
-    rhs = tol.holds(na_in_nb, nb_in_na, ra_in_rb, rb_in_ra, r_axa)
-    rt = tol.res_rtol
+    lhs = DEFAULT_TOL.holds(ra_in_rb, nb_in_na, r_bxa, r_axb)
+    rhs = DEFAULT_TOL.holds(na_in_nb, nb_in_na, ra_in_rb, rb_in_ra, r_axa)
     checks = (
-        check_le("ra_in_rb", ra_in_rb, rt),
-        check_le("rb_in_ra", rb_in_ra, rt),
-        check_le("nb_in_na", nb_in_na, rt),
-        check_le("na_in_nb", na_in_nb, rt),
-        check_le("eq_bxa", r_bxa, rt),
-        check_le("eq_axb", r_axb, rt),
-        check_le("eq_axa", r_axa, rt),
+        check_le("ra_in_rb", ra_in_rb),
+        check_le("rb_in_ra", rb_in_ra),
+        check_le("nb_in_na", nb_in_na),
+        check_le("na_in_nb", na_in_nb),
+        check_le("eq_bxa", r_bxa),
+        check_le("eq_axb", r_axb),
+        check_le("eq_axa", r_axa),
         check_flag("lhs_holds", lhs),
         check_flag("rhs_holds", rhs),
         check_flag("sides_agree", lhs == rhs),

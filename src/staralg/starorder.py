@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotComparableError, PreconditionError
-from .matcore import DEFAULT_TOL, Tol, adj, as_cmat, eq_residual, factor
+from .matcore import DEFAULT_TOL, adj, as_cmat, eq_residual, factor
 
 __all__ = ["star_residuals", "star_leq", "range_inclusion_residual"]
 
@@ -25,26 +25,26 @@ def star_residuals(a, b) -> tuple[float, float]:
     return eq_residual((bm, ah), am @ ah), eq_residual((ah, bm), ah @ am)
 
 
-def star_leq(a, b, tol: Tol = DEFAULT_TOL) -> bool:
+def star_leq(a, b) -> bool:
     """True when a <=* b to within res_rtol."""
-    return tol.holds(*star_residuals(a, b))
+    return DEFAULT_TOL.holds(*star_residuals(a, b))
 
 
-def require_star_leq(a: np.ndarray, b: np.ndarray, tol: Tol, what: str) -> None:
+def require_star_leq(a: np.ndarray, b: np.ndarray, what: str) -> None:
     """Raise NotComparableError unless a <=* b; ``what`` names the operation
     and the relation it requires, e.g. "system_family requires b <=* a"."""
     r1, r2 = star_residuals(a, b)
-    if not tol.holds(r1, r2):
+    if not DEFAULT_TOL.holds(r1, r2):
         raise NotComparableError(
-            f"{what}; residuals {r1:.3e}, {r2:.3e} (res_rtol {tol.res_rtol:g})",
+            f"{what}; residuals {r1:.3e}, {r2:.3e} (res_rtol {DEFAULT_TOL.res_rtol:g})",
             residuals=(r1, r2),
         )
 
 
-def range_inclusion_residual(c, a, tol: Tol = DEFAULT_TOL) -> float:
+def range_inclusion_residual(c, a) -> float:
     """Residual of a a+ c - c, which vanishes exactly when range(c) <= range(a)."""
     cm = as_cmat(c)
-    fa = factor(a, tol)
+    fa = factor(a)
     am = fa.m
     if cm.shape[0] != am.shape[0]:
         raise PreconditionError(

@@ -41,7 +41,6 @@ from .genlab import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    Tol,
     adj,
     eq_residual,
     factor,
@@ -101,16 +100,9 @@ def _oracle_rel(a: np.ndarray, b: np.ndarray) -> float:
     return res / max(1.0, float(np.linalg.norm(b)))
 
 
-def _refuted(name: str, residual: float, tol: Tol) -> Check:
+def _refuted(name: str, residual: float) -> Check:
     """An engineered negative: at least NEG_FLOOR, marginal between res_rtol and it."""
-    return check_ge(name, residual, NEG_FLOOR, tol.res_rtol)
-
-
-def _check_clean(name: str, residual: float, pos: float, neg: float, expect_small: bool) -> Check:
-    """Residual must land cleanly below pos or above neg, on the expected side."""
-    ok = residual <= pos if expect_small else residual >= neg
-    marginal = pos < residual < neg
-    return Check(name, float(residual), ok and not marginal, marginal)
+    return check_ge(name, residual, NEG_FLOOR)
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -145,13 +137,10 @@ def _strict_pair(
     return star_pair(rng, n, r, k, hermitian)
 
 
-def _solves(
-    prefix: str, big: np.ndarray, small: np.ndarray, x: np.ndarray, tol: Tol
-) -> tuple[Check, Check]:
+def _solves(prefix: str, big: np.ndarray, small: np.ndarray, x: np.ndarray) -> tuple[Check, Check]:
     """Residual checks that x solves small X big = small = big X small."""
     r_bxa, r_axb = system_residuals(big, small, x)
-    rt = tol.res_rtol
-    return check_le(f"{prefix}_bxa", r_bxa, rt), check_le(f"{prefix}_axb", r_axb, rt)
+    return check_le(f"{prefix}_bxa", r_bxa), check_le(f"{prefix}_axb", r_axb)
 
 
 def _inner_inverse(rng: SplitMix64, a: np.ndarray, ap: np.ndarray) -> np.ndarray:
@@ -169,130 +158,130 @@ def _sub_projector(rng: SplitMix64, u: np.ndarray, k: int, min_rank: int) -> np.
     return cols @ adj(cols)
 
 
-def _split_negatives(rng: SplitMix64, a: np.ndarray, b: np.ndarray, tol: Tol) -> tuple[Check, ...]:
+def _split_negatives(rng: SplitMix64, a: np.ndarray, b: np.ndarray) -> tuple[Check, ...]:
     """Tilt b off the order below idempotent a: certificates and order both fail, in agreement."""
     n = a.shape[0]
     v = rng.complex_gaussian(n, 1)[:, 0]
     v = v / np.linalg.norm(v)
     b_bad = b + 0.1 * np.outer(v, v.conj())
-    _, rep = idempotent_split(a, b_bad, tol)
+    _, rep = idempotent_split(a, b_bad)
     certs = _worst(rep, "b_idempotent", "x_idempotent", "bstar_x", "x_bstar")
     return (
         check_flag("neg_agree", rep.passed("star_matches_certificates")),
-        _refuted("neg_cert", certs, tol),
-        _refuted("neg_star", _star_gap(b_bad, a), tol),
+        _refuted("neg_cert", certs),
+        _refuted("neg_star", _star_gap(b_bad, a)),
     )
 
 
 # ---------------------------------------------------------------------------
 # suite bodies: one function per registered claim tag, called as
-# body(trial, n, rng, tol) with rng the trial's generator
+# body(trial, n, rng) with rng the trial's generator
 
 
-def _suite_penrose(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_penrose(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     m = 1 + rng.randint(n)
     p = 1 + rng.randint(n)
     r = trial % (min(m, p) + 1)  # cycles through all ranks incl. 0 and full
     a = rank_r(rng, m, p, r)
-    ap = pinv(a, tol)
+    ap = pinv(a)
     return (
         check_le("fixed_a", eq_residual((a, ap, a), a), _TIGHT),
         check_le("fixed_pinv", eq_residual((ap, a, ap), ap), _TIGHT),
         check_le("range_proj_hermitian", hermitian_defect(a @ ap), _TIGHT),
         check_le("corange_proj_hermitian", hermitian_defect(ap @ a), _TIGHT),
-        check_le("adjoint_commutes", eq_residual(pinv(adj(a), tol), adj(ap)), _TIGHT),
+        check_le("adjoint_commutes", eq_residual(pinv(adj(a)), adj(ap)), _TIGHT),
     )
 
 
-def _suite_douglas(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_douglas(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    fa = factor(a, tol)
+    fa = factor(a)
     c = a @ rng.complex_gaussian(n, n)
-    fam = douglas_solve(fa, c, tol)
-    checks = [check_le("particular", eq_residual((a, fam.particular), c), tol.res_rtol)]
+    fam = douglas_solve(fa, c)
+    checks = [check_le("particular", eq_residual((a, fam.particular), c))]
     for j in range(2):
         x = fam.instantiate([rng.complex_gaussian(n, n)])
-        checks.append(check_le(f"draw{j}", eq_residual((a, x), c), tol.res_rtol))
+        checks.append(check_le(f"draw{j}", eq_residual((a, x), c)))
     if r < n:
-        crit = _rejection(douglas_solve, fa, rng.complex_gaussian(n, n), tol)
-        checks.append(_refuted("unsolvable_margin", crit, tol))
+        crit = _rejection(douglas_solve, fa, rng.complex_gaussian(n, n))
+        checks.append(_refuted("unsolvable_margin", crit))
         checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
 
 
-def _suite_lem2_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_lem2_2(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
     b = a @ rng.complex_gaussian(n, n) @ a  # range(b) <= range(a), range(b*) <= range(a*)
-    p_range, p_corange, p_null_left, p_null_right = projectors(a, tol)
+    p_range, p_corange, p_null_left, p_null_right = projectors(a)
     return (
-        check_le("null_left_kills", rel_residual(p_null_left @ b, b), tol.res_rtol),
-        check_le("null_right_kills", rel_residual(b @ p_null_right, b), tol.res_rtol),
-        check_le("block_compress", eq_residual((p_range, b, p_corange), b), tol.res_rtol),
+        check_le("null_left_kills", rel_residual(p_null_left @ b, b)),
+        check_le("null_right_kills", rel_residual(b @ p_null_right, b)),
+        check_le("block_compress", eq_residual((p_range, b, p_corange), b)),
     )
 
 
-def _suite_thm2_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm2_3(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n)  # rank-deficient so a negative instance exists
     a = rank_r(rng, n, n, r)
-    fa = factor(a, tol)
+    fa = factor(a)
     ap = fa.pinv
-    meet = meet_projector(a @ ap, ap @ a, tol)
+    meet = meet_projector(a @ ap, ap @ a)
     b_pos = thm23_instance(rng, meet, True)
     b_neg = thm23_instance(rng, meet, False)
 
-    crit_pos = system_criterion_residual(fa, b_pos, tol)
-    crit_neg = system_criterion_residual(fa, b_neg, tol)
+    crit_pos = system_criterion_residual(fa, b_pos)
+    crit_neg = system_criterion_residual(fa, b_neg)
     oracle_pos = _oracle_rel(a, b_pos)
     oracle_neg = _oracle_rel(a, b_neg)
-    agree = tol.holds(crit_pos) == tol.holds(oracle_pos) and (
+    agree = DEFAULT_TOL.holds(crit_pos) == DEFAULT_TOL.holds(oracle_pos) and (
         crit_neg >= NEG_FLOOR
     ) == (oracle_neg >= NEG_FLOOR)
     return (
-        check_le("criterion_pos", crit_pos, tol.res_rtol),
-        *_solves("pinv_solves", a, b_pos, ap, tol),
-        check_le("oracle_pos", oracle_pos, tol.res_rtol),
-        _refuted("criterion_neg", crit_neg, tol),
-        _refuted("oracle_neg", oracle_neg, tol),
+        check_le("criterion_pos", crit_pos),
+        *_solves("pinv_solves", a, b_pos, ap),
+        check_le("oracle_pos", oracle_pos),
+        _refuted("criterion_neg", crit_neg),
+        _refuted("oracle_neg", oracle_neg),
         check_flag("paths_agree", agree),
     )
 
 
-def _suite_prop2_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop2_4(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    fa = factor(a, tol)
+    fa = factor(a)
     u_r = fa.u[:, :r]
     v_r = adj(fa.vh)[:, :r]
     b = u_r @ rank_r(rng, r, r, r) @ adj(v_r)
     x = _inner_inverse(rng, a, fa.pinv)
-    rep = prop_main_check(fa, b, x, tol)
+    rep = prop_main_check(fa, b, x)
     rep_rand = prop_main_check(
-        rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), tol
+        rng.complex_gaussian(n, n), rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
     )
     return (
         check_flag("pos_lhs", rep.passed("lhs_holds")),
         check_flag("pos_rhs", rep.passed("rhs_holds")),
         check_flag("pos_agree", rep.passed("sides_agree")),
         check_flag("rand_agree", rep_rand.passed("sides_agree")),
-        _refuted("rand_axa_margin", rep_rand.residual("eq_axa"), tol),
+        _refuted("rand_axa_margin", rep_rand.residual("eq_axa")),
     )
 
 
-def _suite_prop3_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop3_3(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     k = rng.randint(n - r + 1)
     big, small = star_pair(rng, n, r, k, False)
-    fbig = factor(big, tol)
-    fam = system_family(fbig, small, tol)
+    fbig = factor(big)
+    fam = system_family(fbig, small)
     return (
-        *_solves("pinv_a", big, small, fbig.pinv, tol),
-        *_solves("pinv_b", big, small, fam.particular, tol),
+        *_solves("pinv_a", big, small, fbig.pinv),
+        *_solves("pinv_b", big, small, fam.particular),
     )
 
 
-def _suite_prop3_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop3_4(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     # The hypotheses (a <=* b and b X a = b = a X b solvable) force a == b:
     # the order makes range(a) <= range(b) while the equations force the
     # reverse inclusion, which kills the complement block.  Positive trials
@@ -300,104 +289,104 @@ def _suite_prop3_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
     # strictly larger b is certified unsolvable by the oracle.
     r = 1 + rng.randint(n)
     a = rank_r(rng, n, n, r)
-    ap = pinv(a, tol)
+    ap = pinv(a)
     eye = np.eye(n, dtype=np.complex128)
     x = _inner_inverse(rng, a, ap)
     checks = [
-        check_le("solution_axa", eq_residual((a, x, a), a), tol.res_rtol),
-        check_le("null_spaces_equal", rel_residual(a @ (eye - ap @ a), a), tol.res_rtol),
-        check_le("ranges_equal", rel_residual((eye - a @ ap) @ a, a), tol.res_rtol),
+        check_le("solution_axa", eq_residual((a, x, a), a)),
+        check_le("null_spaces_equal", rel_residual(a @ (eye - ap @ a), a)),
+        check_le("ranges_equal", rel_residual((eye - a @ ap) @ a, a)),
     ]
     bigger, smaller = _strict_pair(rng, n, min_extra=1)
-    checks.append(_refuted("strict_pair_unsolvable", _oracle_rel(smaller, bigger), tol))
+    checks.append(_refuted("strict_pair_unsolvable", _oracle_rel(smaller, bigger)))
     return tuple(checks)
 
 
-def _suite_rem3_5(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_rem3_5(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     a = None
     ap = None
     for _ in range(100):
         r = 1 + rng.randint(n)
         cand = rank_r(rng, n, n, r)
-        cand_p = pinv(cand, tol)
+        cand_p = pinv(cand)
         # partial isometries (pinv == adjoint) cannot witness the failure
         if np.linalg.norm(cand_p - adj(cand)) > 1e-6 * np.linalg.norm(cand):
             a, ap = cand, cand_p
             break
     assert a is not None and ap is not None
     astar = adj(a)
-    astar_p = pinv(astar, tol)
-    app = pinv(ap, tol)
+    astar_p = pinv(astar)
+    app = pinv(ap)
     eye = np.eye(n, dtype=np.complex128)
     return (
-        check_le("null_first_in_second", rel_residual(ap @ (eye - astar_p @ astar), ap), tol.res_rtol),
-        check_le("null_second_in_first", rel_residual(astar @ (eye - app @ ap), astar), tol.res_rtol),
-        check_le("range_first_in_second", rel_residual((eye - astar @ astar_p) @ ap, ap), tol.res_rtol),
-        check_le("range_second_in_first", rel_residual((eye - ap @ app) @ astar, astar), tol.res_rtol),
-        check_le("middle_identity", eq_residual((ap, a, ap), ap), tol.res_rtol),
-        _refuted("order_fails", _star_gap(ap, astar), tol),
+        check_le("null_first_in_second", rel_residual(ap @ (eye - astar_p @ astar), ap)),
+        check_le("null_second_in_first", rel_residual(astar @ (eye - app @ ap), astar)),
+        check_le("range_first_in_second", rel_residual((eye - astar @ astar_p) @ ap, ap)),
+        check_le("range_second_in_first", rel_residual((eye - ap @ app) @ astar, astar)),
+        check_le("middle_identity", eq_residual((ap, a, ap), ap)),
+        _refuted("order_fails", _star_gap(ap, astar)),
     )
 
 
-def _suite_thm3_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm3_6(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n)
-    fbig = factor(big, tol)
-    fam = system_family(fbig, small, tol)
+    fbig = factor(big)
+    fam = system_family(fbig, small)
     xg = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
     checks = []
     for name, x in (("pinv_a", fbig.pinv), ("pinv_b", fam.particular), ("general", xg)):
-        rep = solves_system(big, small, x, tol)
+        rep = solves_system(big, small, x)
         checks.append(check_flag(f"{name}_solves_and_dominated", rep.verdict))
     for j in range(3):
-        rep = solves_system(big, small, rng.complex_gaussian(n, n), tol)
+        rep = solves_system(big, small, rng.complex_gaussian(n, n))
         checks.append(check_flag(f"rand{j}_agree", rep.passed("solves_matches_dominance")))
-        checks.append(_refuted(f"rand{j}_eq_margin", rep.residual("eq_bxa"), tol))
+        checks.append(_refuted(f"rand{j}_eq_margin", rep.residual("eq_bxa")))
         dom = _worst(rep, "dom_left", "dom_right")
-        checks.append(_refuted(f"rand{j}_dom_margin", dom, tol))
+        checks.append(_refuted(f"rand{j}_dom_margin", dom))
     return tuple(checks)
 
 
-def _suite_lem3_7(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_lem3_7(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r1 = 1 + rng.randint(n - 1)
     r2 = 1 + rng.randint(n)
     a = rank_r(rng, n, n, r1)
     b = rank_r(rng, n, n, r2)
-    fa, fb = factor(a, tol), factor(b, tol)
+    fa, fb = factor(a), factor(b)
     c = a @ rng.complex_gaussian(n, n) @ b
-    fam = sandwich_solve(fa, c, fb, tol)
-    checks = [check_le("particular", eq_residual((a, fam.particular, b), c), tol.res_rtol)]
+    fam = sandwich_solve(fa, c, fb)
+    checks = [check_le("particular", eq_residual((a, fam.particular, b), c))]
     for j in range(2):
         x = fam.instantiate([rng.complex_gaussian(n, n)])
-        checks.append(check_le(f"draw{j}", eq_residual((a, x, b), c), tol.res_rtol))
-    crit = _rejection(sandwich_solve, fa, rng.complex_gaussian(n, n), fb, tol)
-    checks.append(_refuted("unsolvable_margin", crit, tol))
+        checks.append(check_le(f"draw{j}", eq_residual((a, x, b), c)))
+    crit = _rejection(sandwich_solve, fa, rng.complex_gaussian(n, n), fb)
+    checks.append(_refuted("unsolvable_margin", crit))
     checks.append(check_flag("unsolvable_raises", not np.isnan(crit)))
     return tuple(checks)
 
 
-def _suite_thm3_8(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm3_8(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n)
     checks = []
     draws = [(_zeros(n), _zeros(n))] + [
         (rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)) for _ in range(5)
     ]
-    fbig = factor(big, tol)
-    fam = system_family(fbig, small, tol)
+    fbig = factor(big)
+    fam = system_family(fbig, small)
     for j, (s, t) in enumerate(draws):
-        checks.extend(_solves(f"draw{j}", big, small, fam.instantiate([s, t]), tol))
+        checks.extend(_solves(f"draw{j}", big, small, fam.instantiate([s, t])))
     s, t = rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)
     for name, b in (("equal_case", big), ("zero_case", _zeros(n))):
-        x = system_general(fbig, b, s, t, tol)
-        checks.append(check_le(name, max(system_residuals(big, b, x)), tol.res_rtol))
+        x = system_general(fbig, b, s, t)
+        checks.append(check_le(name, max(system_residuals(big, b, x))))
     return tuple(checks)
 
 
-def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm3_9(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n)
-    fbig = factor(big, tol)
-    fam = system_family(fbig, small, tol)
+    fbig = factor(big)
+    fam = system_family(fbig, small)
     x_big = fam.instantiate([rng.complex_gaussian(n, n), rng.complex_gaussian(n, n)])
-    y = reduce_system(fbig, small, x_big, tol)
+    y = reduce_system(fbig, small, x_big)
     ap = fbig.pinv
     target_left = ap @ small
     target_right = small @ ap
@@ -405,20 +394,20 @@ def _suite_thm3_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     eye = np.eye(n, dtype=np.complex128)
     x_small = ap + (eye - bp @ small) @ rng.complex_gaussian(n, n) @ (eye - small @ bp)
     return (
-        check_le("reduced_xb", eq_residual((y, small), target_left), tol.res_rtol),
-        check_le("reduced_bx", eq_residual((small, y), target_right), tol.res_rtol),
-        *_solves("converse", big, small, x_small, tol),
+        check_le("reduced_xb", eq_residual((y, small), target_left)),
+        check_le("reduced_bx", eq_residual((small, y), target_right)),
+        *_solves("converse", big, small, x_small),
     )
 
 
-def _suite_thm3_11(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm3_11(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     big, small = _strict_pair(rng, n, hermitian=True)
-    fbig, fsmall = factor(big, tol), factor(small, tol)
+    fbig, fsmall = factor(big), factor(small)
     checks = []
     for name, w in (("w0", _zeros(n)), ("wh", rng.hermitian_gaussian(n))):
-        x = system_hermitian(fbig, fsmall, w, tol)
-        checks.append(check_le(f"{name}_hermitian", hermitian_defect(x), tol.res_rtol))
-        checks.extend(_solves(name, big, small, x, tol))
+        x = system_hermitian(fbig, fsmall, w)
+        checks.append(check_le(f"{name}_hermitian", hermitian_defect(x)))
+        checks.extend(_solves(name, big, small, x))
     return tuple(checks)
 
 
@@ -437,65 +426,64 @@ def _mixing_projector(u: np.ndarray) -> np.ndarray:
     return np.outer(w, w.conj())
 
 
-def _suite_prop4_1(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop4_1(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     rb = 2 + rng.randint(n - 1)
     b = rank_r(rng, n, n, rb)
-    fb = factor(b, tol)
+    fb = factor(b)
     v = adj(fb.vh)
     checks = []
     for side, basis in (("left", fb.u), ("right", v)):
-        rep = projector_char(_aligned_projector(rng, basis, rb), fb, side, tol)
+        rep = projector_char(_aligned_projector(rng, basis, rb), fb, side)
         checks.append(check_flag(f"{side}_pos_verdict", rep.verdict))
-        rep_neg = projector_char(_mixing_projector(basis), fb, side, tol)
-        checks.append(_refuted(f"{side}_neg_commute", rep_neg.residual("commute"), tol))
+        rep_neg = projector_char(_mixing_projector(basis), fb, side)
+        checks.append(_refuted(f"{side}_neg_commute", rep_neg.residual("commute")))
         star = _worst(rep_neg, "star_left", "star_right")
-        checks.append(_refuted(f"{side}_neg_star", star, tol))
+        checks.append(_refuted(f"{side}_neg_star", star))
         checks.append(check_flag(f"{side}_neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
 
-def _suite_prop4_2(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop4_2(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     rb = 2 + rng.randint(n - 1)
     b = rank_r(rng, n, n, rb)
-    fb = factor(b, tol)
+    fb = factor(b)
     v = adj(fb.vh)
     mask = rng.bits(rb)
     if not mask.any():
         mask[0] = True
     us = fb.u[:, :rb][:, mask]
     vs = v[:, :rb][:, mask]
-    rep = pbq_char(us @ adj(us), fb, vs @ adj(vs), tol)
+    rep = pbq_char(us @ adj(us), fb, vs @ adj(vs))
     checks = [check_flag("pos_verdict", rep.verdict)]
     q_full = v[:, :rb] @ adj(v[:, :rb])
-    rep_neg = pbq_char(_mixing_projector(fb.u), fb, q_full, tol)
+    rep_neg = pbq_char(_mixing_projector(fb.u), fb, q_full)
     commute = _worst(rep_neg, "commute_range", "commute_corange")
-    checks.append(_refuted("neg_commute", commute, tol))
+    checks.append(_refuted("neg_commute", commute))
     star = _worst(rep_neg, "star_left", "star_right")
-    checks.append(_refuted("neg_star", star, tol))
+    checks.append(_refuted("neg_star", star))
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     return tuple(checks)
 
 
-def _suite_thm4_3(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm4_3(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     rc = 1 + rng.randint(n)
     skew = 0.2 + 0.6 * float(rng.uniforms(1)[0])
     c = idempotent(rng, n, rc, skew)
     outer = np.eye(n, dtype=np.complex128) - adj(c)
     a = c + outer @ rng.complex_gaussian(n, n) @ outer
-    fam = deng_decompose(a, c, tol)
+    fam = deng_decompose(a, c)
     checks = [
-        check_le("recon_particular", rel_residual(a - c - outer @ fam.particular @ outer, a), tol.res_rtol),
+        check_le("recon_particular", rel_residual(a - c - outer @ fam.particular @ outer, a)),
         check_le(
             "recon_draw",
             rel_residual(a - c - outer @ fam.instantiate([rng.complex_gaussian(n, n)]) @ outer, a),
-            tol.res_rtol,
         ),
-        check_le("converse_star", _star_gap(c, a), tol.res_rtol),
+        check_le("converse_star", _star_gap(c, a)),
     ]
     a_bad = a + 0.1 * (adj(c) @ rng.complex_gaussian(n, n) @ adj(c))
-    crit = _rejection(deng_decompose, a_bad, c, tol)
-    checks.append(_refuted("neg_criterion", crit, tol))
-    checks.append(_refuted("neg_star", _star_gap(c, a_bad), tol))
+    crit = _rejection(deng_decompose, a_bad, c)
+    checks.append(_refuted("neg_criterion", crit))
+    checks.append(_refuted("neg_star", _star_gap(c, a_bad)))
     checks.append(check_flag("neg_raises", not np.isnan(crit)))
     return tuple(checks)
 
@@ -506,59 +494,59 @@ def _split_mults(rng: SplitMix64, total: int) -> tuple[int, int, int]:
     return m1, mw, total - m1 - mw
 
 
-def _suite_lem4_4(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_lem4_4(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     total = rng.randint(n + 1)
     g, _ = gp(rng, n, _split_mults(rng, total))
-    rep = gp_check(g, tol)
+    rep = gp_check(g)
     raw = rng.complex_gaussian(n, n)
-    rep_neg = gp_check(raw, tol)
+    rep_neg = gp_check(raw)
     return (
         *(check_le(c.name, c.residual, _TIGHT) for c in rep.checks),
-        check_ge("random_defect", rep_neg.residual("gp_defect"), _GP_NEG_FLOOR, tol.res_rtol),
+        check_ge("random_defect", rep_neg.residual("gp_defect"), _GP_NEG_FLOOR),
     )
 
 
-def _suite_thm4_5(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm4_5(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     total = 1 + rng.randint(n)
     b, _ = gp(rng, n, _split_mults(rng, total))
     eye = np.eye(n, dtype=np.complex128)
     left = eye - b @ adj(b)
     right = eye - adj(b) @ b
     a = b + left @ rng.complex_gaussian(n, n) @ right
-    x = gp_decompose(a, b, tol)
+    x = gp_decompose(a, b)
     checks = [
-        check_le("recon", rel_residual(a - b - left @ x @ right, a), tol.res_rtol),
-        check_le("converse_star", _star_gap(b, a), tol.res_rtol),
+        check_le("recon", rel_residual(a - b - left @ x @ right, a)),
+        check_le("converse_star", _star_gap(b, a)),
     ]
     a_bad = a + 0.1 * (b @ adj(b) @ rng.complex_gaussian(n, n))
     crit = eq_residual((left, a_bad - b, right), a_bad - b)
-    checks.append(_refuted("neg_criterion", crit, tol))
-    checks.append(_refuted("neg_star", _star_gap(b, a_bad), tol))
-    checks.append(_refuted("neg_recon", rel_residual(a_bad - b - left @ a_bad @ right, a_bad), tol))
+    checks.append(_refuted("neg_criterion", crit))
+    checks.append(_refuted("neg_star", _star_gap(b, a_bad)))
+    checks.append(_refuted("neg_recon", rel_residual(a_bad - b - left @ a_bad @ right, a_bad)))
     return tuple(checks)
 
 
-def _suite_thm4_6(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_thm4_6(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     m1 = 1 + rng.randint(n - 1)
     rest = n - m1
     mw = rng.randint(rest + 1)
     mw2 = rng.randint(rest - mw + 1)
     a, u = gp(rng, n, (m1, mw, mw2))
     b = _sub_projector(rng, u, m1, 0)
-    x, rep = meet_split(a, b, tol)
+    x, rep = meet_split(a, b)
     checks = [
         check_flag("pos_verdict", rep.verdict),
-        check_le("split_sum", rel_residual(a @ adj(a) - b - x, a), tol.res_rtol),
+        check_le("split_sum", rel_residual(a @ adj(a) - b - x, a)),
     ]
     jout = m1 + rng.randint(n - m1)
     v = u[:, jout]
     b_bad = b + 0.1 * np.outer(v, v.conj())
-    checks.append(_refuted("neg_idempotent", idempotent_defect(b_bad), tol))
-    checks.append(_refuted("neg_star", _star_gap(b_bad, a), tol))
+    checks.append(_refuted("neg_idempotent", idempotent_defect(b_bad)))
+    checks.append(_refuted("neg_star", _star_gap(b_bad, a)))
     return tuple(checks)
 
 
-def _suite_lem4_7(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_lem4_7(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     k = 1 + rng.randint(n - 1)
     w = unitary(rng, n)
     skew = 0.2 + 0.6 * float(rng.uniforms(1)[0])
@@ -570,39 +558,39 @@ def _suite_lem4_7(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check,
     emb_x[k:, k:] = x_block
     b = w @ emb_b @ adj(w)
     a = w @ (emb_b + emb_x) @ adj(w)
-    x, rep = idempotent_split(a, b, tol)
+    x, rep = idempotent_split(a, b)
     return (
         check_flag("pos_verdict", rep.verdict),
-        check_le("pos_star", _star_gap(b, a), tol.res_rtol),
-        *_split_negatives(rng, a, b, tol),
+        check_le("pos_star", _star_gap(b, a)),
+        *_split_negatives(rng, a, b),
     )
 
 
-def _suite_cor4_8(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_cor4_8(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     total = 1 + rng.randint(n)
     a, u = gp(rng, n, _split_mults(rng, total))
     p = a @ adj(a)
     b = _sub_projector(rng, u, total, 0)
-    _, rep = idempotent_split(p, b, tol)
+    _, rep = idempotent_split(p, b)
     return (
-        check_le("aastar_idempotent", idempotent_defect(p), tol.res_rtol),
+        check_le("aastar_idempotent", idempotent_defect(p)),
         check_flag("pos_verdict", rep.verdict),
-        *_split_negatives(rng, p, b, tol),
+        *_split_negatives(rng, p, b),
     )
 
 
-def _suite_prop4_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_prop4_9(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     total = 1 + rng.randint(n)
     c, u = gp(rng, n, _split_mults(rng, total))
     b = _sub_projector(rng, u, total, 1)
     eye = np.eye(n, dtype=np.complex128)
     ib = eye - b
     a = b + ib @ rng.complex_gaussian(n, n) @ ib
-    fc = factor(c, tol)
-    rep = common_lower_bound(a, fc, b, tol)
+    fc = factor(c)
+    rep = common_lower_bound(a, fc, b)
     checks = [check_flag("pos_verdict", rep.verdict)]
     b_bad = 0.5 * b
-    rep_neg = common_lower_bound(a, fc, b_bad, tol)
+    rep_neg = common_lower_bound(a, fc, b_bad)
     checks.append(check_flag("neg_agree", rep_neg.passed("sides_agree")))
     checks.append(
         check_flag(
@@ -610,15 +598,15 @@ def _suite_prop4_9(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check
             not (rep_neg.passed("lower_bound_of_a") and rep_neg.passed("lower_bound_of_ccstar")),
         )
     )
-    checks.append(_refuted("neg_idempotent", rep_neg.residual("b_idempotent"), tol))
-    checks.append(_refuted("neg_star", _star_gap(b_bad, a), tol))
+    checks.append(_refuted("neg_idempotent", rep_neg.residual("b_idempotent")))
+    checks.append(_refuted("neg_star", _star_gap(b_bad, a)))
     return tuple(checks)
 
 
-def _suite_inverse_along(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_inverse_along(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    ap = pinv(a, tol)
+    ap = pinv(a)
     astar = adj(a)
     return (
         check_le("astar_a_pinv", eq_residual((astar, a, ap), astar), _TIGHT),
@@ -627,22 +615,22 @@ def _suite_inverse_along(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple
     )
 
 
-def _suite_oracle_agreement(trial: int, n: int, rng: SplitMix64, tol: Tol) -> tuple[Check, ...]:
+def _suite_oracle_agreement(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
-    fa = factor(a, tol)
+    fa = factor(a)
     ap = fa.pinv
     b_structured = (a @ ap) @ rng.complex_gaussian(n, n) @ (ap @ a)
     b_raw = rng.complex_gaussian(n, n)
     checks = []
     for name, b in (("structured", b_structured), ("raw", b_raw)):
-        direct = system_criterion_residual(fa, b, tol)
+        direct = system_criterion_residual(fa, b)
         oracle = _oracle_rel(a, b)
-        direct_ok = tol.holds(direct)
-        oracle_ok = tol.holds(oracle)
-        checks.append(check_flag(f"{name}_agree", direct_ok == oracle_ok))
-        checks.append(_check_clean(f"{name}_direct", direct, tol.res_rtol, NEG_FLOOR, direct_ok))
-        checks.append(_check_clean(f"{name}_oracle", oracle, tol.res_rtol, NEG_FLOOR, oracle_ok))
+        agree = DEFAULT_TOL.holds(direct) == DEFAULT_TOL.holds(oracle)
+        checks.append(check_flag(f"{name}_agree", agree))
+        # each path's residual lands cleanly on the side it decided
+        for label, res in ((f"{name}_direct", direct), (f"{name}_oracle", oracle)):
+            checks.append(check_le(label, res) if DEFAULT_TOL.holds(res) else _refuted(label, res))
     return tuple(checks)
 
 
@@ -679,9 +667,7 @@ SUITE_NAMES = tuple(_SUITES)
 SUITE_DESCRIPTIONS = {name: description for name, (_, description) in _SUITES.items()}
 
 
-def run_suite(
-    name: str, trials: int, dims: int, root_seed: int, tol: Tol = DEFAULT_TOL
-) -> list[Report]:
+def run_suite(name: str, trials: int, dims: int, root_seed: int) -> list[Report]:
     """Run one registered suite; trial t draws from SplitMix64(Seed(root_seed, t))."""
     if name not in _SUITES:
         raise PreconditionError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
@@ -693,6 +679,6 @@ def run_suite(
     reports = []
     for trial in range(trials):
         seed = Seed(root_seed, trial)
-        checks = body(trial, dims, SplitMix64(seed), tol)
+        checks = body(trial, dims, SplitMix64(seed))
         reports.append(Report(suite=name, trial=trial, checks=checks, seed=seed))
     return reports

@@ -10,7 +10,6 @@ from staralg import (
     PreconditionError,
     Seed,
     SplitMix64,
-    Tol,
     adj,
     as_cmat,
     factor,
@@ -80,7 +79,7 @@ def test_pinv_adjoint_commutes():
 def test_pinv_scale_hint_zeroes_noise():
     noise = 1e-15 * gen_rank_r(4, 4, 4, Seed(4))
     assert np.linalg.norm(pinv(noise)) > 1.0  # relative cutoff keeps noise
-    assert np.all(factor(noise, DEFAULT_TOL, 1.0).pinv == 0)
+    assert np.all(factor(noise, scale=1.0).pinv == 0)
 
 
 def test_rank_of():
@@ -99,48 +98,26 @@ def test_rank_of():
 
 def test_factor_of_a_factor_is_itself():
     a = gen_rank_r(5, 5, 3, Seed(61))
-    f = factor(a, DEFAULT_TOL)
-    assert factor(f, DEFAULT_TOL) is f
-    assert factor(f, Tol()) is f  # an equal policy
+    f = factor(a)
+    assert factor(f) is f
     assert as_cmat(f) is f.m
     assert pinv(f) is f.pinv
-
-
-def test_factor_with_other_arguments_refactors_the_matrix():
-    # s[2] of this matrix lies between the cutoffs of the two policies
-    a = np.diag([1.0, 1e-6, 1e-10, 0.0]).astype(complex)
-    f = factor(a)
-    loose = Tol(rank_rtol=1e-8)
-    g = factor(f, loose)
-    ref = factor(a, loose)
-    assert (f.rank, g.rank) == (3, 2)
-    assert g.rank == ref.rank and g.cutoff == ref.cutoff
-    assert g.tol == loose and g.scale is None
-    assert g.m is f.m
-    for name in ("u", "s", "vh", "pinv"):
-        assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
-    hinted = factor(a, DEFAULT_TOL, 1e3)
-    assert hinted.scale == 1e3 and hinted.rank == 2
 
 
 def test_factor_keeps_its_rank_hint():
     """The hint belongs to the Factor: passing it on keeps its rank decision."""
     a = np.diag([1.0, 1e-6, 1e-10, 0.0]).astype(complex)
-    hinted = factor(a, DEFAULT_TOL, 1e3)
-    assert factor(hinted, DEFAULT_TOL) is hinted
-    assert factor(hinted, DEFAULT_TOL, 5.0) is hinted  # the hint applies to arrays only
-    loose = Tol(rank_rtol=1e-8)
-    g = factor(hinted, loose)
-    ref = factor(a, loose, 1e3)
-    assert g.m is hinted.m and g.tol == loose and g.scale == 1e3
-    assert (g.rank, g.cutoff) == (ref.rank, ref.cutoff) == (1, 4e-5)
-    assert factor(a, loose).rank == 2  # without the hint, 1e-6 would be kept
+    hinted = factor(a, scale=1e3)
+    assert factor(hinted) is hinted
+    assert factor(hinted, scale=5.0) is hinted  # the hint applies to arrays only
+    assert (hinted.rank, hinted.cutoff) == (2, 4e-9)
+    assert factor(a).rank == 3  # without the hint, 1e-10 would be kept
 
 
 def test_pinv_is_the_factor_pinv():
     for a, _ in seeded_matrices(count=40):
         assert pinv(a).tobytes() == factor(a).pinv.tobytes()
-        hinted = factor(a, DEFAULT_TOL, 10.0)
+        hinted = factor(a, scale=10.0)
         assert pinv(hinted) is hinted.pinv
 
 
@@ -219,11 +196,12 @@ def test_eq_residual_is_the_hand_built_residual(count):
 
 
 def test_tol_holds_is_a_closed_threshold():
-    tol = Tol(res_rtol=1e-8)
-    assert tol.holds(1e-8, 0.0)
-    assert tol.holds()
-    assert not tol.holds(0.0, 1.0000001e-8)
-    assert not tol.holds(float("nan"))
+    assert DEFAULT_TOL.rank_rtol == 1e-12
+    assert DEFAULT_TOL.res_rtol == 1e-8
+    assert DEFAULT_TOL.holds(1e-8, 0.0)
+    assert DEFAULT_TOL.holds()
+    assert not DEFAULT_TOL.holds(0.0, 1.0000001e-8)
+    assert not DEFAULT_TOL.holds(float("nan"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,15 +211,6 @@ def test_star_leq_of_a_true_pair_is_scale_free_upward(exponent, root):
     t = 10.0**exponent
     with np.errstate(over="ignore"):
         assert star_leq(t * small, t * big)
-
-
-def test_tol_validation():
-    with pytest.raises(PreconditionError):
-        Tol(rank_rtol=0.0)
-    with pytest.raises(PreconditionError):
-        Tol(res_rtol=1.5)
-    assert DEFAULT_TOL.rank_rtol == 1e-12
-    assert DEFAULT_TOL.res_rtol == 1e-8
 
 
 def test_as_cmat_rejects_bad_input():

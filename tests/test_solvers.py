@@ -134,7 +134,7 @@ def test_sandwich_keeps_a_hinted_factor_at_rank_zero():
     c = gen_idempotent(4, 4, 0.5, Seed(1))
     outer = np.eye(4) - adj(c)
     assert 0 < np.linalg.norm(outer) < 1e-14 and factor(outer).rank == 4
-    fo = factor(outer, DEFAULT_TOL, 1.0)
+    fo = factor(outer, scale=1.0)
     assert fo.rank == 0
     fam = sandwich_solve(fo, zeros(4), fo)
     u = SplitMix64(Seed(2)).complex_gaussian(4, 4)
@@ -224,7 +224,7 @@ def _eight_term_reference(a, b, s, t):
     n = a.shape[0]
     ap, bp = pinv(a), pinv(b)
     d = a - b
-    dp = factor(d, DEFAULT_TOL, float(max(np.linalg.norm(a), np.linalg.norm(b)))).pinv
+    dp = factor(d, scale=float(max(np.linalg.norm(a), np.linalg.norm(b)))).pinv
     eye = np.eye(n, dtype=complex)
     p_ra, p_cra, p_rb = a @ ap, ap @ a, b @ bp
     return (

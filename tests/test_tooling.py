@@ -1,5 +1,6 @@
 """Source-level rules that hold across the package's modules."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -7,6 +8,7 @@ import types
 from pathlib import Path
 
 import staralg
+from staralg.cli import _build_parser, main
 
 SRC = Path(staralg.__file__).resolve().parent
 
@@ -119,7 +121,7 @@ PUBLIC_NAMES = {
         "NumericError", "MatrixFormatError",
     ),
     "matcore": (
-        "Tol", "DEFAULT_TOL", "Factor", "adj", "as_cmat", "factor", "pinv", "projectors",
+        "DEFAULT_TOL", "Factor", "adj", "as_cmat", "factor", "pinv", "projectors",
         "meet_projector", "rel_residual", "hermitian_defect", "idempotent_defect",
     ),
     "starorder": ("star_residuals", "star_leq", "range_inclusion_residual"),
@@ -221,3 +223,28 @@ def test_one_negative_threshold():
              and any(isinstance(arg, ast.Name) and arg.id == "NEG_FLOOR" for arg in node.args)]
     assert [node.lineno for node in calls if id(node) not in inside] == []
     assert len(calls) == 1
+
+
+def _help_texts(parser: argparse.ArgumentParser):
+    """The ``--help`` text of the parser and of every command below it."""
+    yield parser.format_help()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _help_texts(sub)
+
+
+def test_one_tolerance_policy():
+    """``DEFAULT_TOL`` is the only tolerance policy: no function takes a
+    ``tol`` parameter, no class has a ``tol`` field, and no command takes a
+    threshold flag."""
+    found = [
+        f"{name}:{node.lineno}" for name, tree in _trees(SRC).items() for node in ast.walk(tree)
+        if (isinstance(node, ast.arg) and node.arg == "tol")
+        or (isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "tol")
+    ]
+    assert found == [], found
+    texts = list(_help_texts(_build_parser()))
+    assert len(texts) >= 13
+    assert not [t for t in texts if "--rank-rtol" in t or "--res-rtol" in t]
+    assert main(["verify", "--suite", "penrose", "--res-rtol", "1e-8"]) == 2

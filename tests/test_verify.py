@@ -193,15 +193,18 @@ def test_report_verdict_is_conjunction():
 
 def test_check_helpers_gray_zones():
     assert check_le("a", 5e-9, 1e-8).passed
+    assert check_le("a", 1e-8).passed and not check_le("a", 1.2e-8).passed  # res_rtol
     tie = check_le("a", 0.95e-8, 1e-8)
     assert tie.passed and tie.marginal
     over = check_le("a", 1.05e-8, 1e-8)
     assert not over.passed and over.marginal
     assert check_ge("b", 2e-5, 1e-5).passed
-    gray = check_ge("b", 1e-6, 1e-5, 1e-8)
+    gray = check_ge("b", 1e-6, 1e-5)
     assert not gray.passed and gray.marginal
-    tiny = check_ge("b", 1e-9, 1e-5, 1e-8)
+    tiny = check_ge("b", 1e-9, 1e-5)
     assert not tiny.passed and not tiny.marginal
+    edge = check_ge("b", 1e-8, 1e-5)  # the gray zone starts above res_rtol
+    assert not edge.passed and not edge.marginal
 
 
 def test_report_named_access():
