@@ -26,7 +26,7 @@ from .matcore import (
     square_pair,
 )
 from .report import Check, Report, check_flag, check_le
-from .solvers import SolutionFamily, sandwich_solve
+from .solvers import SolutionFamily
 from .starorder import require_star_leq, star_leq, star_residuals
 
 __all__ = [
@@ -127,27 +127,30 @@ def pbq_char(p, b, q) -> Report:
 def deng_decompose(a, c_idempotent) -> SolutionFamily:
     """Witness family for c <=* a when c is idempotent.
 
-    Solves (I - c*) X (I - c*) = a - c; each instantiation reconstructs a as
-    c + (I - c*) X (I - c*).  Unsolvability of the sandwich equation signals
+    Solves E X E = a - c for E = I - c*; each instantiation reconstructs a as
+    c + E X E.  E is idempotent, so it is its own inner inverse: the equation
+    is solvable exactly when E (a - c) E = a - c (Penrose 1955), and then
+    X(U) = (a - c) + U - E U E are all its solutions.  Unsolvability signals
     that c is not below a in the star order.
     """
     am, cm, n = square_pair(a, c_idempotent)
     defect = idempotent_defect(cm)
     if not DEFAULT_TOL.holds(defect):
         raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
-    # I - c* may be rounding noise (c close to the identity): hint its rank
-    # decision with the scale of c
-    outer = factor(
-        np.eye(n, dtype=np.complex128) - adj(cm), scale=max(1.0, float(np.linalg.norm(cm)))
-    )
-    try:
-        return sandwich_solve(outer, am - cm, outer)
-    except UnsolvableError as exc:
+    outer = np.eye(n, dtype=np.complex128) - adj(cm)
+    rest = am - cm
+    crit = eq_residual((outer, rest, outer), rest)
+    if not DEFAULT_TOL.holds(crit):
         raise UnsolvableError(
             "no decomposition a = c + (I - c*) X (I - c*): "
-            f"c is not below a in the star order (criterion residual {exc.residual:.3e})",
-            residual=exc.residual,
-        ) from exc
+            f"c is not below a in the star order (criterion residual {crit:.3e})",
+            residual=crit,
+        )
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        return rest + u - outer @ u @ outer
+
+    return SolutionFamily(rest, ((n, n),), apply)
 
 
 def gp_check(a) -> Report:

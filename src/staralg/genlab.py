@@ -126,8 +126,6 @@ def unitary(rng: SplitMix64, n: int) -> np.ndarray:
 
 def _spread_values(rng: SplitMix64, r: int) -> np.ndarray:
     """r values stratified across [0.5, 2] with guaranteed pairwise gaps."""
-    if r == 0:
-        return np.empty(0)
     u = rng.uniforms(r)
     return 0.5 + 1.5 * (np.arange(r) + 0.1 + 0.8 * u) / r
 

@@ -21,7 +21,6 @@ from .matcore import (
     eq_residual,
     factor,
     hermitian_defect,
-    rel_residual,
     square_pair,
 )
 from .report import Report, check_flag, check_le
@@ -240,10 +239,11 @@ def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
     always factored.  One Factor passed as both a and b is factored once.
     """
     am, bm, n, cm, dm, wm = square_pair(a, b, c=c, d=d, w=w_hermitian)
-    ap = factor(a).pinv
+    fa = factor(a)
+    ap = fa.pinv
     bp = factor(b).pinv
     conditions = (
-        ("range_c", eq_residual((am, ap, cm), cm)),
+        ("range_c", range_inclusion_residual(cm, fa)),
         ("corange_d", eq_residual((dm, bp, bm), dm)),
         ("link_ad_cb", eq_residual((cm, bm), am @ dm)),
         ("ac_adj_hermitian", hermitian_defect(am @ adj(cm))),
@@ -274,15 +274,16 @@ def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
 def system_hermitian(a, b, w_hermitian) -> np.ndarray:
     """Hermitian solution of b X a = b = a X b.
 
-    Requires b <=* a together with b* a+ b and b (a+)* b* Hermitian; the
+    Requires b <=* a together with b* b+ b and b (b+)* b* Hermitian.  The
     construction solves the reduced pair b X = b a+, X b = a+ b, whose solver
-    raises UnsolvableError naming a failing Hermitian condition.
+    raises UnsolvableError naming a failing Hermitian condition.  Under the
+    order, d = a - b has b d+ = 0 = d+ b, so b a+ = b b+ and a+ b = b+ b:
+    only b is factored, and a enters only the order check.
     """
     am, bm, _ = square_pair(a, b)
     require_star_leq(bm, am, "system_hermitian requires b <=* a")
-    ap = factor(a).pinv
     fb = factor(b)
-    return hermitian_system_solve(fb, fb, bm @ ap, ap @ bm, w_hermitian)
+    return hermitian_system_solve(fb, fb, bm @ fb.pinv, fb.pinv @ bm, w_hermitian)
 
 
 def prop_main_check(a, b, x) -> Report:
@@ -294,15 +295,14 @@ def prop_main_check(a, b, x) -> Report:
     carries both plus an agreement flag.  Raises only for malformed operands
     (PreconditionError).
     """
-    am, bm, n, xm = square_pair(a, b, x=x)
-    ap = factor(a).pinv
-    bp = factor(b).pinv
-    eye = np.eye(n, dtype=np.complex128)
+    am, bm, _, xm = square_pair(a, b, x=x)
+    fa = factor(a)
+    fb = factor(b)
 
-    ra_in_rb = eq_residual((bm, bp, am), am)
-    rb_in_ra = eq_residual((am, ap, bm), bm)
-    nb_in_na = rel_residual(am @ (eye - bp @ bm), am)
-    na_in_nb = rel_residual(bm @ (eye - ap @ am), bm)
+    ra_in_rb = range_inclusion_residual(am, fb)
+    rb_in_ra = range_inclusion_residual(bm, fa)
+    nb_in_na = eq_residual((am, fb.pinv @ bm), am)
+    na_in_nb = eq_residual((bm, fa.pinv @ am), bm)
     r_bxa, r_axb = system_residuals(am, bm, xm)
     r_axa = eq_residual((am, xm, am), am)
 

@@ -78,6 +78,8 @@ def test_round_trip_via_files(tmp_path):
     [
         ("", 1, 1),
         ("2\n(1,0)\n(1,0)", 1, 1),
+        ("a b\n(1,0)", 1, 1),
+        ("0 1\n", 1, 1),
         ("1 2\n(1,0)", 2, 1),
         ("1 1\n(1,0) (2,0)", 2, 7),
         ("1 1\nbogus", 2, 1),
@@ -380,10 +382,15 @@ def test_solve_hermitian_and_sandwich(tmp_path):
 
     c = tmp_path / "c.mat"
     write_matrix(c, am @ np.eye(4) @ am)
-    assert run("solve", "sandwich", "--a", str(a), "--c", str(c), "--b", str(a), "--out", str(x)) == 0
-    xm = parse_matrix(x)
     cm = parse_matrix(c)
-    assert np.allclose(am @ xm @ am, cm, atol=1e-8)
+    u = tmp_path / "u.mat"
+    write_matrix(u, np.ones((4, 4)))
+    for extra in ((), ("--u", str(u))):
+        assert run("solve", "sandwich", "--a", str(a), "--c", str(c), "--b", str(a),
+                   "--out", str(x), *extra) == 0
+        xm = parse_matrix(x)
+        assert np.allclose(am @ xm @ am, cm, atol=1e-8)
+    assert not np.allclose(xm, pinv(am) @ cm @ pinv(am), atol=1e-8)
 
 
 def test_gen_solve_check_pipelines_over_seeds(tmp_path):

@@ -651,15 +651,20 @@ def test_characterization_reads_both_ranges_off_b_factor(svd_calls, name):
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
 def test_operation_takes_a_factor(svd_calls, name):
     """Passed its Factor, an operation gives the same bytes and does not
-    factor that operand again."""
+    factor that operand again.  system_hermitian reads a only in its order
+    check, so it does not factor a at all."""
     call, m = FACTOR_CASES[name]
     f = factor(m)
     svd_calls.clear()
     want = call(m)
+    factors_m = any(np.array_equal(s, m) for s in svd_calls)
     with_matrix = len(svd_calls)
     svd_calls.clear()
     got = call(f)
-    assert len(svd_calls) < with_matrix
+    if name == "system_hermitian_a":
+        assert not factors_m and len(svd_calls) == with_matrix
+    else:
+        assert factors_m and len(svd_calls) < with_matrix
     if isinstance(want, np.ndarray):
         assert got.tobytes() == want.tobytes()
     else:

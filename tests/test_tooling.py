@@ -199,6 +199,54 @@ def test_residuals_state_their_equation():
     assert found == [], found
 
 
+def _is_complement(node: ast.AST) -> bool:
+    """``eye - ...`` or ``np.eye(...) - ...``: a projector's complement written out."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    left = node.left
+    return (isinstance(left, ast.Name) and left.id == "eye") or (
+        isinstance(left, ast.Call) and _callee(left) == "eye")
+
+
+def _leftmost_term(node: ast.AST) -> ast.AST:
+    """The first term of a difference chain ``t0 - t1 - ...``."""
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        node = node.left
+    return node
+
+
+def _unstated_equations(tree: ast.AST) -> list[ast.Call]:
+    """``rel_residual(x, ref)`` calls that hide an equation with right side
+    ``ref``: ``ref @ (eye - p)`` or ``(eye - p) @ ref`` (the equation
+    ``ref @ p = ref``), or a difference chain ``ref - t1 - ...`` (the equation
+    ``t1 + ... = ref``)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _callee(node) == "rel_residual"
+                and len(node.args) == 2):
+            continue
+        x, ref = node.args
+        ref = ast.dump(ref)
+        if isinstance(x, ast.BinOp) and isinstance(x.op, ast.MatMult):
+            hit = (ast.dump(x.left) == ref and _is_complement(x.right)) or (
+                _is_complement(x.left) and ast.dump(x.right) == ref)
+        else:
+            hit = (isinstance(x, ast.BinOp) and isinstance(x.op, ast.Sub)
+                   and ast.dump(_leftmost_term(x)) == ref)
+        if hit:
+            found.append(node)
+    return found
+
+
+def test_residuals_state_their_right_side():
+    """Outside matcore, a residual whose reference is the equation's right
+    side, as in ``(I - P) x = 0`` for ``P x = x``, is ``eq_residual`` of that
+    equation, not ``rel_residual`` of the rearranged difference."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(SRC).items() if name != "matcore.py"
+             for node in _unstated_equations(tree)]
+    assert found == [], found
+
+
 def test_one_acceptance_test():
     """``res_rtol`` is compared only in matcore (``Tol.holds``), as
     ``rank_rtol`` enters arithmetic only there."""

@@ -12,14 +12,21 @@ from staralg import (
     Seed,
     StaralgError,
     factor,
+    gen_gp,
+    gen_idempotent,
+    gen_rank_r,
     gen_star_pair,
     hermitian_defect,
     idempotent_defect,
     lsq_oracle,
+    meet_projector,
+    meet_split,
     pinv,
+    projector_char,
     rel_residual,
     star_leq,
     star_residuals,
+    sandwich_solve,
     system_family,
     system_general,
     system_solvable,
@@ -71,6 +78,27 @@ NON_SQUARE = np.ones((2, 3), dtype=np.complex128)
 )
 def test_non_square_operands_are_precondition_errors(call):
     with pytest.raises(PreconditionError, match="square"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sandwich_solve(np.eye(2), np.eye(3), np.eye(2)), "c must be 2x2"),
+        (lambda: meet_projector(np.eye(2), np.eye(3)), "projector shapes differ"),
+        (lambda: projector_char(np.eye(2), np.eye(2), "up"), "side must be 'left' or 'right'"),
+        (lambda: meet_split(2.0 * np.eye(2), np.eye(2)), "a is not a generalized projection"),
+        (lambda: gen_rank_r(0, 3, 0, Seed(1)), "dimensions must be >= 1"),
+        (lambda: gen_star_pair(0, 0, 0, Seed(1)), "n must be >= 1"),
+        (lambda: gen_gp(0, (0, 0, 0), Seed(1)), "n must be >= 1"),
+        (lambda: gen_idempotent(0, 0, 0.5, Seed(1)), "n must be >= 1"),
+        (lambda: gen_idempotent(3, 1, -0.5, Seed(1)), "skew must be >= 0"),
+    ],
+    ids=["sandwich_c_shape", "meet_shapes", "projector_side", "meet_split_gp", "gen_rank_r_dims",
+         "gen_star_pair_n", "gen_gp_n", "gen_idempotent_n", "gen_idempotent_skew"],
+)
+def test_argument_rules_are_precondition_errors(call, message):
+    with pytest.raises(PreconditionError, match=message):
         call()
 
 

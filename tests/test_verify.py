@@ -92,8 +92,8 @@ def test_suite_runs_are_deterministic():
 
 
 STREAM_DIGESTS = {
-    "6": "db7632b4bc0cfa5ecbae61fc53584117d0720864b00c2a774ec6694d7d6509f9",
-    "8": "e606e9148dcb5f91c3c21c3ec0c43ad10d162c1471a72350d238370674e237d6",
+    "6": "1644b41a801f23a24f22a3c93ecf19d5e52fbdb15e32784d249177d8e6e87794",
+    "8": "68add5ff877d874621e6abdb2f4b0bedc2893bec0fddc128f508239048c36175",
 }
 
 
@@ -124,7 +124,8 @@ def test_report_stream_digest_is_pinned(tmp_path, dims):
 # as a+ b a+, and one array passed as both operands of a solver is factored
 # once.  A count that rises means some operand is factored again.  thm4.3 and
 # lem4.7 also count the one SVD per skewed idempotent draw that checks its
-# conditioning.
+# conditioning; deng_decompose factors nothing (thm4.3, prop4.9), and
+# system_hermitian factors b but not a (thm3.11).
 SVD_BUDGETS = {
     "douglas": 10,
     "thm2.3": 20,
@@ -134,12 +135,12 @@ SVD_BUDGETS = {
     "lem3.7": 20,
     "thm3.8": 10,
     "thm3.9": 10,
-    "thm3.11": 40,
+    "thm3.11": 30,
     "prop4.1": 10,
     "prop4.2": 10,
-    "thm4.3": 30,
+    "thm4.3": 10,
     "lem4.7": 20,
-    "prop4.9": 20,
+    "prop4.9": 10,
     "oracle-agreement": 10,
 }
 
