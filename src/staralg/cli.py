@@ -66,18 +66,17 @@ def _parse_token(token: str, line_no: int, column: int) -> complex:
     return complex(re_part, im_part)
 
 
-def _parse_row(line: str, line_no: int, row: np.ndarray) -> None:
-    """Token-by-token parse of one row line into ``row``; the only place that
-    reports a malformed entry, with its 1-based line and column."""
+def _parse_row(line: str, line_no: int, cols: int) -> list[complex]:
+    """Token-by-token parse of one row line of ``cols`` entries; the only place
+    that reports a malformed entry, with its 1-based line and column."""
     tokens = list(re.finditer(r"\S+", line))
-    if len(tokens) != row.size:
+    if len(tokens) != cols:
         raise MatrixFormatError(
-            f"expected {row.size} entries, found {len(tokens)}",
+            f"expected {cols} entries, found {len(tokens)}",
             line=line_no,
             column=tokens[-1].start() + 1 if tokens else 1,
         )
-    for j, tok in enumerate(tokens):
-        row[j] = _parse_token(tok.group(0), line_no, tok.start() + 1)
+    return [_parse_token(tok.group(0), line_no, tok.start() + 1) for tok in tokens]
 
 
 def parse_matrix(source) -> np.ndarray:
@@ -121,6 +120,11 @@ def parse_matrix(source) -> np.ndarray:
             line=min(len(body), rows) + 2,
             column=1,
         )
+    if rows * cols > len(text):
+        # every entry takes a character, so some row is short: report the
+        # first bad row without allocating what the header claims
+        for i, line in enumerate(body):
+            _parse_row(line, i + 2, cols)
     out = np.empty((rows, cols), dtype=np.complex128)
     parts = out.view(np.float64)  # row i holds re, im, re, im, ... of out[i]
     for i, line in enumerate(body):
@@ -132,7 +136,7 @@ def parse_matrix(source) -> np.ndarray:
             else:
                 if np.isfinite(parts[i]).all():
                     continue
-        _parse_row(line, i + 2, out[i])
+        out[i] = _parse_row(line, i + 2, cols)
     return out
 
 

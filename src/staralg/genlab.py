@@ -15,6 +15,11 @@ stream indices shares no state.  The ``gen_*`` functions validate their
 arguments and draw from a fresh stream; the builders they wrap (``unitary``,
 ``rank_r``, ``star_pair``, ...) take a caller's SplitMix64 and trusted
 arguments, so one trial can chain several draws from one stream.
+
+Rank-r matrices and star pairs are drawn in SVD form, U diag(s) V* with Haar
+unitaries U and V (QR of a complex Gaussian) and values s stratified across
+[0.5, 2]; a star pair small <=* big shares U and V and keeps r of big's
+values, so it costs two QRs (one when Hermitian).
 """
 
 from __future__ import annotations
@@ -51,13 +56,6 @@ class Seed:
                 raise PreconditionError(f"{name} must be a 64-bit unsigned integer")
 
 
-def _mix_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -72,9 +70,9 @@ class SplitMix64:
     """
 
     def __init__(self, seed: Seed):
-        state = _mix_int(seed.root ^ _ROOT_SALT)
-        state = _mix_int((state + seed.stream * _GAMMA) & _MASK)
-        self._state = state
+        root = _mix_array(np.array([seed.root ^ _ROOT_SALT], dtype=np.uint64))
+        stream = np.array([seed.stream], dtype=np.uint64)
+        self._state = int(_mix_array(root + stream * np.uint64(_GAMMA))[0])
 
     def u64(self, n: int) -> np.ndarray:
         ks = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state)
@@ -139,39 +137,24 @@ def rank_r(rng: SplitMix64, m: int, n: int, r: int) -> np.ndarray:
     return (u[:, :r] * s) @ adj(v[:, :r])
 
 
-def _hermitian_invertible(rng: SplitMix64, n: int) -> np.ndarray:
-    """Hermitian with eigenvalues of magnitude in [0.5, 2] and random signs."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    q = unitary(rng, n)
-    eig = _spread_values(rng, n) * np.where(rng.bits(n), 1.0, -1.0)
-    return (q * eig) @ adj(q)
-
-
-def _embed_blocks(n: int, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    d = np.zeros((n, n), dtype=np.complex128)
-    r = a1.shape[0]
-    k = b1.shape[0]
-    d[:r, :r] = a1
-    d[r : r + k, r : r + k] = b1
-    return d
-
-
 def star_pair(
     rng: SplitMix64, n: int, r: int, k: int, hermitian: bool
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(big, small) = (U diag(s, 0) V*, U diag(s[:r], 0) V*) with s of length r + k.
+
+    This is the simultaneous SVD that every pair small <=* big has
+    (Hartwig & Drazin 1978).  Drawing U and V Haar gives the same distribution
+    as conjugating each block by further Haar unitaries would, since
+    U blockdiag(U1, U2, I) is Haar when U is.  With ``hermitian`` V = U and
+    each value gets a random sign, so s holds the eigenvalues.
+    """
+    u = unitary(rng, n)
+    v = u if hermitian else unitary(rng, n)
+    s = np.concatenate([_spread_values(rng, r), _spread_values(rng, k)])
     if hermitian:
-        u = unitary(rng, n)
-        v = u
-        a1 = _hermitian_invertible(rng, r)
-        b1 = _hermitian_invertible(rng, k)
-    else:
-        u = unitary(rng, n)
-        v = unitary(rng, n)
-        a1 = rank_r(rng, r, r, r)
-        b1 = rank_r(rng, k, k, k)
-    big = u @ _embed_blocks(n, a1, b1) @ adj(v)
-    small = u @ _embed_blocks(n, a1, np.zeros((0, 0))) @ adj(v)
+        s *= np.where(rng.bits(r + k), 1.0, -1.0)
+    big = (u[:, : r + k] * s) @ adj(v[:, : r + k])
+    small = (u[:, :r] * s[:r]) @ adj(v[:, :r])
     return big, small
 
 
@@ -229,11 +212,13 @@ def gen_rank_r(m: int, n: int, r: int, seed: Seed) -> np.ndarray:
 def gen_star_pair(
     n: int, r: int, k: int, seed: Seed, hermitian: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded pair (big, small) with small <=* big.
+    """Seeded pair (big, small) with small <=* big, drawn in SVD form.
 
-    ``small`` has rank r, ``big`` rank r + k; both are built from one block
-    decomposition in shared unitary bases.  With ``hermitian=True`` a single
-    basis and Hermitian blocks make both outputs Hermitian.
+    big = U diag(s, 0) V* has rank r + k and small = U diag(s[:r], 0) V* rank
+    r: the two share their singular vectors, and small keeps r of big's r + k
+    singular values, all in [0.5, 2].  Haar U and V make any further
+    unitary inside the blocks redundant.  With ``hermitian=True`` V = U and
+    the values carry random signs, so both outputs are Hermitian.
     """
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")

@@ -6,9 +6,11 @@ Suite identifiers are stable claim tags (see ``SUITE_DESCRIPTIONS``).  A
 suite run is fully determined by (name, trials, dims, root_seed): the
 runner builds one generator SplitMix64(Seed(root_seed, t)) for trial t and
 hands it to the suite body, which makes every draw of the trial from it, so
-report streams are byte-identical across runs.  Positive checks must land at or below res_rtol; engineered
-negatives must fail with margin at least NEG_FLOOR, and anything in the gray
-zone between the two is flagged marginal and fails the suite.
+report streams are byte-identical across runs.
+
+Positive checks must land at or below res_rtol; engineered negatives must
+fail with margin at least NEG_FLOOR, and anything in the gray zone between
+the two is flagged marginal and fails the suite.
 
 Trials are independent and could run concurrently; the runner executes them
 in trial order so the report stream needs no sorting step.
@@ -409,12 +411,17 @@ def _suite_thm3_11(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     return tuple(checks)
 
 
-def _aligned_projector(rng: SplitMix64, basis: np.ndarray, count: int) -> np.ndarray:
-    """Projector onto a seeded nonempty subset of the given orthonormal columns."""
+def _nonempty_mask(rng: SplitMix64, count: int) -> np.ndarray:
+    """Seeded nonempty subset of range(count) as a boolean mask."""
     mask = rng.bits(count)
     if not mask.any():
         mask[0] = True
-    cols = basis[:, :count][:, mask]
+    return mask
+
+
+def _aligned_projector(rng: SplitMix64, basis: np.ndarray, count: int) -> np.ndarray:
+    """Projector onto a seeded nonempty subset of the given orthonormal columns."""
+    cols = basis[:, :count][:, _nonempty_mask(rng, count)]
     return cols @ adj(cols)
 
 
@@ -446,9 +453,7 @@ def _suite_prop4_2(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     b = rank_r(rng, n, n, rb)
     fb = factor(b)
     v = adj(fb.vh)
-    mask = rng.bits(rb)
-    if not mask.any():
-        mask[0] = True
+    mask = _nonempty_mask(rng, rb)
     us = fb.u[:, :rb][:, mask]
     vs = v[:, :rb][:, mask]
     rep = pbq_char(us @ adj(us), fb, vs @ adj(vs))

@@ -122,6 +122,10 @@ def test_parse_errors_carry_position(text, line, column):
         ("3 1\n(1,0)\n(nan,0)\n(x,0)", "non-finite entry '(nan,0)' (line 3, column 1)"),
         ("3 1\n(1,0)\n(x,0)\n(nan,0)", "unparsable float in entry '(x,0)' (line 3, column 1)"),
         ("3 1\n(1e999,0)\n(1,0)\n(2,0)", "non-finite entry '(1e999,0)' (line 2, column 1)"),
+        # a header the body cannot fill is reported, not allocated
+        ("1 1152921504606846976\n(1,0)",
+         "expected 1152921504606846976 entries, found 1 (line 2, column 1)"),
+        ("1 100000000000\n(1,0)", "expected 100000000000 entries, found 1 (line 2, column 1)"),
     ],
 )
 def test_malformed_rows_report_message_and_position(text, message):
@@ -206,10 +210,10 @@ def test_written_files_are_byte_stable(tmp_path):
         for name in ("a.mat", "b.mat", "pinv_a.mat", "x.mat")
     }
     assert digests == {
-        "a.mat": "5c089ada08512dcffd0eb57607f9e3ae4588f4cc522617fa816833295f4853c3",
-        "b.mat": "a51fee5445db4588b0fb0b8742353b7e33b50e698c12b5422fda6814f4a494d4",
-        "pinv_a.mat": "41e364376d311163d60aa526676b5f81853062f260132116363ca33a0f4a5248",
-        "x.mat": "a47cdc644dd255d0e036dc3ec9561895bc5bc7460e9286a0a283402ab8ac0067",
+        "a.mat": "26ed4b692013bdd37cccfb05121076f3db29458acd3baecee85d33b0263b9399",
+        "b.mat": "46ce6789dd6b17f516504eac651a45aa38a7a1e0eaf22751582bf9eb811df7fb",
+        "pinv_a.mat": "8bb7e51d2dc6ab283df6e54485548f2d48e13dfe46e1f8dd3b5d40ea51dcc03a",
+        "x.mat": "6e1c5a9b410e10a08846592121c852950bd314b0f9a4418ccddc6bdd8d9a3253",
     }
 
 

@@ -103,13 +103,33 @@ def test_gen_star_pair_grid():
                 assert star_leq(small, big)
                 assert factor(small).rank == r
                 assert factor(big).rank == r + k
+                # the SVD form b+ = a+ b a+ relies on: small keeps r of big's
+                # singular values, all in [0.5, 2]
+                s_big = np.linalg.svd(big, compute_uv=False)[: r + k]
+                s_small = np.linalg.svd(small, compute_uv=False)[:r]
+                gaps = np.abs(s_small[:, None] - s_big[None, :]).min(axis=1, initial=np.inf)
+                assert np.all(gaps <= 1e-12 * s_small)
+                assert np.all((s_big >= 0.5 - 1e-12) & (s_big <= 2.0 + 1e-12))
                 if hermitian:
                     assert hermitian_defect(big) <= 1e-12
                     assert hermitian_defect(small) <= 1e-12
+                    mags = np.sort(np.abs(np.linalg.eigvalsh(big)))[n - r - k :]
+                    assert np.all((mags >= 0.5 - 1e-12) & (mags <= 2.0 + 1e-12))
                 seen_hermitian.add(hermitian)
     assert seen_hermitian == {False, True}
     with pytest.raises(PreconditionError):
         gen_star_pair(3, 2, 2, Seed(1))
+
+
+def test_gen_star_pair_makes_one_qr_per_unitary(qr_calls):
+    # U and V only: no further unitary is drawn inside the blocks
+    n = 5
+    for hermitian, expected in ((False, 2), (True, 1)):
+        for r in range(n + 1):
+            for k in range(n - r + 1):
+                qr_calls.clear()
+                gen_star_pair(n, r, k, Seed(50), hermitian)
+                assert len(qr_calls) == expected
 
 
 def test_gen_star_pair_degenerate():

@@ -92,8 +92,8 @@ def test_suite_runs_are_deterministic():
 
 
 STREAM_DIGESTS = {
-    "6": "1644b41a801f23a24f22a3c93ecf19d5e52fbdb15e32784d249177d8e6e87794",
-    "8": "68add5ff877d874621e6abdb2f4b0bedc2893bec0fddc128f508239048c36175",
+    "6": "52dd354c9921ec7c9ade85ceea771a0bcc04df3010d448b83c40beb9a9024faf",
+    "8": "fff37b963bb36be70b133a8982cb034d0b30912d3be471ffccb13c1f04cc6ac5",
 }
 
 
