@@ -41,7 +41,7 @@ class UnsolvableError(StaralgError):
 
 
 class NumericError(StaralgError):
-    """A numerical routine (e.g. SVD) failed to produce a result."""
+    """A numerical routine (e.g. SVD) failed, or a product left the double range."""
 
 
 class MatrixFormatError(StaralgError):

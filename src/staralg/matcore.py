@@ -73,12 +73,6 @@ def as_cmat(a) -> np.ndarray:
     return m
 
 
-def _is_cmat(m) -> bool:
-    """True for a nonempty 2-D complex128 array: as_cmat returns it unchanged
-    once its entries are known to be finite."""
-    return isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2 and m.size > 0
-
-
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One validated operand and its rank decision, made once.
@@ -96,6 +90,11 @@ class Factor:
     rank: int
     cutoff: float
     pinv: np.ndarray
+
+
+def _cutoff(reference: float, shape: tuple[int, int]) -> float:
+    """Singular values at or below ``rank_rtol * reference * max(m, n)`` count as zero."""
+    return DEFAULT_TOL.rank_rtol * reference * max(shape)
 
 
 def factor(a, *, scale: float | None = None) -> Factor:
@@ -120,8 +119,7 @@ def factor(a, *, scale: float | None = None) -> Factor:
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"
         ) from exc
     top = float(s[0]) if s.size else 0.0
-    reference = max(top, scale) if scale is not None else top
-    cutoff = DEFAULT_TOL.rank_rtol * reference * max(m.shape)
+    cutoff = _cutoff(max(top, scale) if scale is not None else top, m.shape)
     keep = s > cutoff
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
@@ -138,61 +136,62 @@ def pinv(a) -> np.ndarray:
 def projectors(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projectors onto range(a), range(a*), null(a*), null(a).
 
-    Returns (a @ a+, a+ @ a, I - a @ a+, I - a+ @ a); each is Hermitian
-    idempotent to within res_rtol.
+    Each is V V* for the singular vectors V spanning its space, so one onto a
+    zero space is exactly zero; each is Hermitian idempotent within res_rtol.
     """
     f = factor(a)
-    m, ap = f.m, f.pinv
-    p_range = m @ ap
-    p_corange = ap @ m
-    return (
-        p_range,
-        p_corange,
-        np.eye(m.shape[0], dtype=np.complex128) - p_range,
-        np.eye(m.shape[1], dtype=np.complex128) - p_corange,
-    )
+    u, v = f.u, adj(f.vh)
+    return tuple(w @ adj(w) for w in (u[:, :f.rank], v[:, :f.rank], u[:, f.rank:], v[:, f.rank:]))
+
+
+def pinv_below(fa: Factor, b: np.ndarray) -> np.ndarray:
+    """b+ = a+ b a+ for a validated b <=* a, which keeps a subset of a's
+    singular values (Hartwig & Drazin 1978), unless a drops one that b keeps:
+    b's cutoff is at least rank_rtol |b|_F sqrt(n), so b is factored when it
+    is nonzero and a's largest dropped value exceeds that bound."""
+    bound = _cutoff(_fro(b) / math.sqrt(max(b.shape)), b.shape)
+    if b.any() and fa.s[fa.rank:].max(initial=0.0) > bound:
+        return factor(b).pinv
+    return fa.pinv @ b @ fa.pinv
+
+
+def unit_scale(*mats: np.ndarray) -> float:
+    """The power of two that brings the largest entry of ``mats`` into
+    [0.5, 1), or 1 when all are zero; scaling by it rounds nothing."""
+    top = max(float(np.abs(m).max()) for m in mats)
+    return math.ldexp(1.0, -math.frexp(top)[1])
+
+
+def _fro(m) -> float:
+    """Frobenius norm by one BLAS dot, which overflows to inf without a warning."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den for two norms: exactly 0 when num is, else NumericError beyond the double range."""
+    if num == 0.0:
+        return 0.0
+    if not (num < math.inf and den < math.inf):
+        raise NumericError(f"a product beyond the double range: norms {num:.3e} over {den:.3e}")
+    return num / den if den else math.inf
 
 
 def rel_residual(e, ref) -> float:
-    """Frobenius norm of ``e`` relative to ``max(1, ||ref||_F)``.
-
-    The unit clamp keeps residuals meaningful around the zero matrix; this is
-    the single residual convention used by every predicate in the package.
-    When a norm overflows although every entry is finite, both matrices are
-    first scaled by one power of two; NumericError is raised only for a
-    residual beyond the double range.
-    """
-    if not (_is_cmat(e) and _is_cmat(ref)):
-        e, ref = as_cmat(e), as_cmat(ref)
-    with np.errstate(over="ignore"):  # an overflow is retried below, not reported
-        num, den = np.linalg.norm(e), np.linalg.norm(ref)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        # a NaN or Inf entry makes its norm non-finite; as_cmat rejects it
-        as_cmat(e)
-        as_cmat(ref)
-        # finite entries whose squares overflow: scale both by 2**-k, which
-        # rounds nothing that reaches the norm; the quotient needs no undoing,
-        # and under the unit clamp ||e|| is scaled back
-        k = math.frexp(max(float(np.abs(e).max()), float(np.abs(ref).max())))[1]
-        unit = math.ldexp(1.0, -k)
-        sn, sd = np.linalg.norm(e * unit), np.linalg.norm(ref * unit)
-        res = sn / sd if sd >= unit else np.ldexp(sn, k)
-        if not math.isfinite(res):
-            raise NumericError(
-                f"residual norm overflows: ||e||_F = {num:.3e}, ||ref||_F = {den:.3e}")
-        return float(res)
-    return float(num / max(1.0, float(den)))
+    """``||e||_F / ||ref||_F``, for a residual that is not one side of an
+    equation minus the other; ``ref`` must be on the operands' own scale."""
+    return _quotient(_fro(as_cmat(e)), _fro(as_cmat(ref)))
 
 
 def eq_residual(lhs, rhs) -> float:
-    """Residual of the equation lhs = rhs: ``||lhs - rhs||_F / max(1, ||rhs||_F)``.
-
-    A tuple ``lhs`` stands for the product of its factors, taken left to right
-    as ``a @ b @ c`` associates.
+    """Normwise backward error of lhs = rhs: ``|lhs - rhs|_F / (|lhs|_F + |rhs|_F)``
+    (Rigal & Gaches 1967).  A tuple ``lhs`` is the product of its factors,
+    left to right as ``a @ b @ c`` associates, and |lhs| the product of their
+    norms.  It lies in [0, 1], is exactly 0 when the sides agree, and holds no
+    absolute constant: no side may be derived and zero in exact arithmetic.
     """
-    if isinstance(lhs, tuple):
-        lhs = reduce(np.matmul, lhs)
-    return rel_residual(lhs - rhs, rhs)
+    factors = lhs if isinstance(lhs, tuple) else (lhs,)
+    lhs = reduce(np.matmul, factors)
+    return _quotient(_fro(lhs - rhs), math.prod(map(_fro, factors)) + _fro(rhs))
 
 
 def square(a, name: str) -> np.ndarray:
@@ -250,11 +249,12 @@ def require_projector(p, name: str) -> np.ndarray:
 def meet_projector(p, q) -> np.ndarray:
     """Orthogonal projector onto range(p) & range(q) for projectors p, q.
 
-    Uses the Anderson-Duffin form 2 p (p + q)+ q.  The result is dominated by
-    both inputs: p @ m == m == q @ m to within res_rtol.
+    The meet is null(2I - p - q), since (2I - p - q) v = 0 forces
+    |(I - p) v|^2 + |(I - q) v|^2 = 0; 2I - p - q is factored on its norm
+    scale 2, so a trivial meet gives exactly zero.
     """
     pm = require_projector(p, "p")
     qm = require_projector(q, "q")
     if pm.shape != qm.shape:
         raise PreconditionError(f"projector shapes differ: {pm.shape} vs {qm.shape}")
-    return 2.0 * pm @ pinv(pm + qm) @ qm
+    return projectors(factor(2.0 * np.eye(len(pm), dtype=np.complex128) - pm - qm, scale=2.0))[3]

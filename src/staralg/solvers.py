@@ -2,8 +2,8 @@
 
 Solvers check their solvability criteria and fail loudly with the offending
 residual; the diagnostic operations (`solves_system`, `prop_main_check`)
-report instead, and raise PreconditionError only for malformed operands (a
-shape mismatch or a non-finite entry).
+report instead, and raise only for malformed operands (PreconditionError)
+or a product beyond the double range (NumericError).
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from .matcore import (
     eq_residual,
     factor,
     hermitian_defect,
+    pinv_below,
     square_pair,
+    unit_scale,
 )
 from .report import Report, check_flag, check_le
-from .starorder import range_inclusion_residual, require_star_leq, star_residuals
+from .starorder import range_inclusion_residual, require_star_leq
 
 __all__ = [
     "SolutionFamily",
@@ -165,15 +167,15 @@ def system_family(a, b) -> SolutionFamily:
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
     projectors of b and d sum to a a+.  Under the order a and b also have a
     simultaneous SVD in which b keeps a subset of a's singular values
-    (Hartwig & Drazin 1978), so b+ = a+ b a+: only a is factored, once, after
-    the order check, and a caller that holds a's Factor (whose ``pinv`` also
-    solves the system, Prop. 3.3) passes it as a.  When a == b, d = 0 removes
-    the s term and X(s, t) = b+ + t - (a+ a) t (a a+).
+    (Hartwig & Drazin 1978), so b+ = a+ b a+ (``pinv_below``): a is factored
+    once, after the order check, and a caller that holds a's Factor (whose
+    ``pinv`` also solves the system, Prop. 3.3) passes it as a.  When a == b,
+    d = 0 removes the s term and X(s, t) = b+ + t - (a+ a) t (a a+).
     """
     am, bm, n = square_pair(a, b)
     require_star_leq(bm, am, "system_family requires b <=* a")
-    ap = factor(a).pinv
-    bp = ap @ bm @ ap
+    fa = factor(a)
+    ap, bp = fa.pinv, pinv_below(fa, bm)
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         dp = ap - bp
@@ -193,21 +195,25 @@ def solves_system(a, b, x) -> Report:
     """Diagnostic: does x solve the system, and is b star-dominated by a x a?
 
     The two properties are equivalent whenever b <=* a, so the report carries
-    an agreement flag alongside the four raw residuals.  Raises only for
-    malformed operands (PreconditionError).
+    an agreement flag alongside the four raw residuals.  Domination is judged
+    on the operands, as (a x a) b* = b b* and b* (a x a) = b* b, after a and
+    b are scaled by ``unit_scale`` and x by its inverse, which changes no
+    residual.
     """
     am, bm, _, xm = square_pair(a, b, x=x)
+    unit = unit_scale(am, bm)
+    am, bm, xm = am * unit, bm * unit, xm / unit
     r_bxa, r_axb = system_residuals(am, bm, xm)
-    axa = am @ xm @ am
-    d1, d2 = star_residuals(bm, axa)
-    solves = DEFAULT_TOL.holds(r_bxa, r_axb)
-    dominated = DEFAULT_TOL.holds(d1, d2)
+    bh = adj(bm)
+    d1 = eq_residual((am, xm, am, bh), bm @ bh)
+    d2 = eq_residual((bh, am, xm, am), bh @ bm)
     checks = (
         check_le("eq_bxa", r_bxa),
         check_le("eq_axb", r_axb),
         check_le("dom_left", d1),
         check_le("dom_right", d2),
-        check_flag("solves_matches_dominance", solves == dominated),
+        check_flag("solves_matches_dominance",
+                   DEFAULT_TOL.holds(r_bxa, r_axb) == DEFAULT_TOL.holds(d1, d2)),
     )
     return Report(suite="solves-system", trial=0, checks=checks)
 
@@ -246,8 +252,8 @@ def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
         ("range_c", range_inclusion_residual(cm, fa)),
         ("corange_d", eq_residual((dm, bp, bm), dm)),
         ("link_ad_cb", eq_residual((cm, bm), am @ dm)),
-        ("ac_adj_hermitian", hermitian_defect(am @ adj(cm))),
-        ("bd_hermitian", hermitian_defect(adj(bm) @ dm)),
+        ("ac_adj_hermitian", eq_residual((am, adj(cm)), cm @ adj(am))),
+        ("bd_hermitian", eq_residual((adj(bm), dm), adj(dm) @ bm)),
     )
     for name, res in conditions:
         if not DEFAULT_TOL.holds(res):

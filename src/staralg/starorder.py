@@ -1,8 +1,8 @@
 """The star partial order: predicate and range inclusion.
 
 ``a <=* b`` holds when a a* = b a* and a* a = a* b.  Numerically both
-identities are tested as relative residuals against the left operand's
-scale; near-threshold ties resolve by the strict comparison.
+identities are tested by their backward errors, which are homogeneous as
+the order is: a <=* b exactly when t a <=* t b.
 """
 
 from __future__ import annotations
@@ -10,17 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotComparableError, PreconditionError
-from .matcore import DEFAULT_TOL, adj, as_cmat, eq_residual, factor
+from .matcore import DEFAULT_TOL, adj, as_cmat, eq_residual, factor, unit_scale
 
 __all__ = ["star_residuals", "star_leq", "range_inclusion_residual"]
 
 
 def star_residuals(a, b) -> tuple[float, float]:
-    """The two defining residuals of a <=* b: of b a* = a a* and of a* b = a* a."""
+    """The two defining residuals of a <=* b: of b a* = a a* and of a* b = a* a,
+    taken with both scaled by a's ``unit_scale``, which rounds nothing."""
     am = as_cmat(a)
     bm = as_cmat(b)
     if am.shape != bm.shape:
         raise PreconditionError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    unit = unit_scale(am)
+    am, bm = am * unit, bm * unit
     ah = adj(am)
     return eq_residual((bm, ah), am @ ah), eq_residual((ah, bm), ah @ am)
 

@@ -172,10 +172,20 @@ def test_meet_projector_rejects_non_projector():
 
 
 def test_rel_residual_convention():
+    """A bare quotient of norms: no unit clamp, so it is scale-free, exactly 0
+    for a zero residual, and inf against a zero reference."""
     assert rel_residual(np.zeros((2, 2)), np.ones((2, 2))) == 0.0
+    assert rel_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
     assert rel_residual(np.eye(2), np.eye(2)) == pytest.approx(1.0)
     e = np.array([[3.0, 4.0]])
-    assert rel_residual(e, np.zeros((1, 2))) == pytest.approx(5.0)
+    assert rel_residual(e, np.array([[0.0, 2.0]])) == pytest.approx(2.5)
+    assert rel_residual(e, np.zeros((1, 2))) == np.inf
+    for k in (-400, -40, 40, 400):
+        assert rel_residual(np.ldexp(e, k), np.ldexp([[1.0, 2.0]], k)) == rel_residual(e, [[1.0, 2.0]])
+
+
+def _fro(m):
+    return float(np.linalg.norm(m))
 
 
 HAND_BUILT = {
@@ -187,12 +197,24 @@ HAND_BUILT = {
 
 @pytest.mark.parametrize("count", sorted(HAND_BUILT))
 def test_eq_residual_is_the_hand_built_residual(count):
+    """The normwise backward error: |lhs - rhs| over the product of the
+    factors' norms plus |rhs|, or over |lhs| + |rhs| for one matrix."""
     rng = SplitMix64(Seed(11, count))
     factors = tuple(rng.complex_gaussian(4, 4) for _ in range(count))
     rhs = rng.complex_gaussian(4, 4)
     product = HAND_BUILT[count](factors)
-    assert eq_residual(factors, rhs) == rel_residual(product - rhs, rhs)
-    assert eq_residual(product, rhs) == rel_residual(product - rhs, rhs)
+    gap = _fro(product - rhs)
+    backward = gap / (float(np.prod([_fro(f) for f in factors])) + _fro(rhs))
+    assert eq_residual(factors, rhs) == pytest.approx(backward, rel=1e-13)
+    assert eq_residual(product, rhs) == pytest.approx(gap / (_fro(product) + _fro(rhs)), rel=1e-13)
+
+
+def test_eq_residual_lies_in_the_unit_interval():
+    e = np.array([[3.0, 4.0j]])
+    assert eq_residual(e, e.copy()) == 0.0
+    assert eq_residual((np.zeros((1, 1)), e), np.zeros((1, 2))) == 0.0
+    assert eq_residual(e, -e) == pytest.approx(1.0)
+    assert eq_residual(e, np.zeros((1, 2))) == 1.0
 
 
 def test_tol_holds_is_a_closed_threshold():

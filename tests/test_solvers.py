@@ -39,6 +39,8 @@ from staralg import (
     system_hermitian,
     system_solvable,
 )
+from staralg.genlab import unitary
+from staralg.matcore import eq_residual
 
 RES = DEFAULT_TOL.res_rtol
 
@@ -64,7 +66,7 @@ def test_douglas_zero_rhs():
     assert np.allclose(fam.particular, 0, atol=1e-14)
     rng = SplitMix64(Seed(62))
     x = fam.instantiate([rng.complex_gaussian(4, 4)])
-    assert rel_residual(a @ x, zeros(4)) <= RES
+    assert eq_residual((a, x), 0) <= RES
 
 
 def test_douglas_diagonal():
@@ -310,6 +312,25 @@ def test_system_family_particular_is_pinv_b():
         assert fam.particular.tobytes() == (ap @ small @ ap).tobytes()
         bp = pinv(small)
         assert np.linalg.norm(fam.particular - bp) <= 1e-12 * np.linalg.norm(bp)
+
+
+@pytest.mark.parametrize("sigma", [3e-12, 1e-11])
+def test_system_family_at_a_rank_straddle(sigma):
+    """a = U diag(1, 0.7, sigma, 0, 0, 0) V* and b = U diag(0, 0, sigma, 0, 0, 0) V*.
+    At sigma = 3e-12 a's cutoff drops sigma while b's keeps it, so a+ b a+
+    would be 0: b is factored for b+.  At 1e-11 both keep it.  Either way
+    the particular is b+, it solves the system, and X = 0 does not."""
+    rng = SplitMix64(Seed(7))
+    u, v = unitary(rng, 6), unitary(rng, 6)
+    a = (u[:, :3] * [1.0, 0.7, sigma]) @ adj(v[:, :3])
+    b = (u[:, 2:3] * sigma) @ adj(v[:, 2:3])
+    assert (factor(a).rank < 3) == (sigma == 3e-12)
+    fam = system_family(a, b)
+    assert np.linalg.norm(fam.particular) == pytest.approx(1.0 / sigma, rel=1e-4)
+    assert solves_system(a, b, fam.particular).verdict
+    rep = solves_system(a, b, zeros(6))
+    assert not rep.verdict
+    assert rep.residual("eq_bxa") == 1.0
 
 
 def test_family_of_near_star_pairs_keeps_the_verdicts():

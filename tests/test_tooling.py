@@ -247,6 +247,30 @@ def test_residuals_state_their_right_side():
     assert found == [], found
 
 
+def _clamps_and_errstates(tree: ast.AST) -> list[ast.Call]:
+    """``errstate(...)`` calls, and ``max(1, ...)`` or ``max(..., 1.0)``: a
+    unit clamp, the absolute constant a scale-free residual does without."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        clamp = _callee(node) == "max" and any(
+            isinstance(arg, ast.Constant) and arg.value == 1 for arg in node.args)
+        if clamp or _callee(node) == "errstate":
+            found.append(node)
+    return found
+
+
+def test_no_unit_clamp_and_no_errstate():
+    """Residuals are backward errors, which need no ``max(1, |ref|)`` clamp,
+    and norms are taken so that an overflow raises no floating-point warning,
+    so no module silences one with ``np.errstate``."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees(SRC).items()
+             for node in _clamps_and_errstates(tree)]
+    assert found == [], found
+    assert _clamps_and_errstates(ast.parse("max(1.0, n)\nnp.errstate(over='ignore')"))
+
+
 def test_one_acceptance_test():
     """``res_rtol`` is compared only in matcore (``Tol.holds``), as
     ``rank_rtol`` enters arithmetic only there."""

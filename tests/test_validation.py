@@ -10,7 +10,6 @@ from staralg import (
     NumericError,
     PreconditionError,
     Seed,
-    StaralgError,
     factor,
     gen_gp,
     gen_idempotent,
@@ -27,10 +26,12 @@ from staralg import (
     star_leq,
     star_residuals,
     sandwich_solve,
+    solves_system,
     system_family,
     system_general,
     system_solvable,
 )
+from staralg.cli import main, write_matrix
 
 GOOD = np.eye(3, dtype=np.complex128)
 ZERO = np.zeros((3, 3), dtype=np.complex128)
@@ -109,11 +110,15 @@ def test_rel_residual_rejects_non_finite_lists(kind):
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_star_residuals_at_extreme_scale_raises_instead_of_nan(swap):
+def test_star_residuals_at_extreme_scale_get_the_right_answer(swap):
+    # a a* would overflow at 1e160; star_residuals first scales by a power of two
     big, small = gen_star_pair(6, 2, 2, Seed(5))
     a, b = (big, small) if swap else (small, big)
-    with pytest.raises(StaralgError), np.errstate(over="ignore", invalid="ignore"):
-        star_residuals(1e160 * a, 1e160 * b)
+    got = star_residuals(1e160 * a, 1e160 * b)
+    if swap:
+        assert got == pytest.approx(star_residuals(a, b), rel=1e-12)
+    else:
+        assert max(got) <= 1e-15
 
 
 @pytest.mark.parametrize("call", [star_residuals, star_leq], ids=lambda f: f.__name__)
@@ -136,7 +141,18 @@ def test_system_family_of_an_unrelated_pair_overflowing_is_not_comparable():
     assert info.value.residuals == pytest.approx(star_residuals(unrelated, big), rel=1e-12)
 
 
-def test_a_residual_beyond_the_double_range_is_a_numeric_error():
-    e = np.full((2, 2), 1e308, dtype=np.complex128)  # ||e||_F = 2e308
-    with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
-        rel_residual(e, np.zeros((2, 2)))
+def test_a_residual_beyond_the_double_range_is_a_numeric_error(tmp_path, capsys):
+    """Every residual lies in [0, 1]; what can leave the double range is a
+    product of finite operands: in solves_system(I, 1e200 P, 1e200 Q) the
+    scale |a|^2 |x| |b| of the domination residual is about 1e401, and a
+    generalized-projection check of 1e200 I forms a a = 1e400 I."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
+    q = np.diag([0.0, 0.0, 1.0, 1.0]).astype(np.complex128)
+    with pytest.raises(NumericError, match="beyond the double range"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        solves_system(np.eye(4), 1e200 * p, 1e200 * q)
+    path = tmp_path / "a.mat"
+    write_matrix(path, 1e200 * np.eye(4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", "gp", "--a", str(path)]) == 3
+    assert "beyond the double range" in capsys.readouterr().err

@@ -92,8 +92,8 @@ def test_suite_runs_are_deterministic():
 
 
 STREAM_DIGESTS = {
-    "6": "52dd354c9921ec7c9ade85ceea771a0bcc04df3010d448b83c40beb9a9024faf",
-    "8": "fff37b963bb36be70b133a8982cb034d0b30912d3be471ffccb13c1f04cc6ac5",
+    "6": "10a923b589606bc23d7e8cc628775b4211f83d687bb5bf256342ca8679de15b2",
+    "8": "ba3f8ff7a14e682d5b421194cd5a388fcc0a8988489252682cb6b10e02f69d72",
 }
 
 
