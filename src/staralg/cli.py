@@ -95,13 +95,8 @@ def parse_matrix(source) -> np.ndarray:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing 'rows cols' header", line=1, column=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MatrixFormatError(
-            f"header must be two integers, got {lines[0].strip()!r}", line=1, column=1
-        )
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = map(int, lines[0].split())  # exactly two integers
     except ValueError:
         raise MatrixFormatError(
             f"header must be two integers, got {lines[0].strip()!r}", line=1, column=1
@@ -302,14 +297,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         w = _load_or_zeros(args.w, (a.shape[0], a.shape[0]))
         write_matrix(args.out, system_hermitian(a, b, w))
         return 0
-    a = parse_matrix(args.a)
-    c = parse_matrix(args.c)
-    b = parse_matrix(args.b)
-    fam = sandwich_solve(a, c, b)
-    if args.u is None:
-        x = fam.particular
-    else:
-        x = fam.instantiate([parse_matrix(args.u)])
+    fam = sandwich_solve(parse_matrix(args.a), parse_matrix(args.c), parse_matrix(args.b))
+    x = fam.particular if args.u is None else fam.instantiate([parse_matrix(args.u)])
     write_matrix(args.out, x)
     return 0
 

@@ -144,27 +144,36 @@ def projectors(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(w @ adj(w) for w in (u[:, :f.rank], v[:, :f.rank], u[:, f.rank:], v[:, f.rank:]))
 
 
-def pinv_below(fa: Factor, b: np.ndarray) -> np.ndarray:
-    """b+ = a+ b a+ for a validated b <=* a, which keeps a subset of a's
-    singular values (Hartwig & Drazin 1978), unless a drops one that b keeps:
-    b's cutoff is at least rank_rtol |b|_F sqrt(n), so b is factored when it
-    is nonzero and a's largest dropped value exceeds that bound."""
-    bound = _cutoff(_fro(b) / math.sqrt(max(b.shape)), b.shape)
-    if b.any() and fa.s[fa.rank:].max(initial=0.0) > bound:
-        return factor(b).pinv
-    return fa.pinv @ b @ fa.pinv
+def pinvs_below(fa: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a+, b+) on one rank decision for a validated b <=* a, whose singular
+    values are a subset of a's (Hartwig & Drazin 1978): b+ = a+ b a+, unless a
+    drops one that b keeps.  b's cutoff is at least rank_rtol |b|_F sqrt(n), so
+    b is factored when it is nonzero and a's largest dropped value exceeds
+    that; a+ then takes its part on range(b) from b+, so a+ - b+ stays d+."""
+    ap = fa.pinv
+    below = ap @ b @ ap
+    if b.any() and fa.s[fa.rank:].max(initial=0.0) > _cutoff(_fro(b) / math.sqrt(len(b)), b.shape):
+        bp = factor(b).pinv
+        return ap + bp - below, bp
+    return ap, below
 
 
 def unit_scale(*mats: np.ndarray) -> float:
-    """The power of two that brings the largest entry of ``mats`` into
-    [0.5, 1), or 1 when all are zero; scaling by it rounds nothing."""
+    """The power of two that brings the largest entry of ``mats`` into [0.5, 1)
+    (at most 2**1023), or 1 when all are zero; scaling by it rounds nothing."""
     top = max(float(np.abs(m).max()) for m in mats)
-    return math.ldexp(1.0, -math.frexp(top)[1])
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
 def _fro(m) -> float:
-    """Frobenius norm by one BLAS dot, which overflows to inf without a warning."""
-    return math.sqrt(np.vdot(m, m).real)
+    """Frobenius norm by one BLAS dot, without a warning; a sum of squares that
+    overflows, or falls below 2**-900 where subnormal squares lose digits, is
+    taken again on m scaled by its ``unit_scale``, as LAPACK's zlange scales."""
+    ss = np.vdot(m, m).real
+    if 2.0 ** -900 <= ss < math.inf or not np.any(m):
+        return math.sqrt(ss)
+    unit = unit_scale(m)
+    return math.sqrt(np.vdot(m * unit, m * unit).real) / unit
 
 
 def _quotient(num: float, den: float) -> float:

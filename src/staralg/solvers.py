@@ -21,7 +21,7 @@ from .matcore import (
     eq_residual,
     factor,
     hermitian_defect,
-    pinv_below,
+    pinvs_below,
     square_pair,
     unit_scale,
 )
@@ -167,15 +167,16 @@ def system_family(a, b) -> SolutionFamily:
     summands, Hartwig & Styan 1986); d+ b = 0; a a+ b = b; and the range
     projectors of b and d sum to a a+.  Under the order a and b also have a
     simultaneous SVD in which b keeps a subset of a's singular values
-    (Hartwig & Drazin 1978), so b+ = a+ b a+ (``pinv_below``): a is factored
-    once, after the order check, and a caller that holds a's Factor (whose
-    ``pinv`` also solves the system, Prop. 3.3) passes it as a.  When a == b,
+    (Hartwig & Drazin 1978), so b+ = a+ b a+ (``pinvs_below``, which keeps
+    a+ and b+ on one rank decision): a is factored once, after the order
+    check, and a caller that holds a's Factor (whose ``pinv`` also solves the
+    system, Prop. 3.3) passes it as a.  When a == b,
     d = 0 removes the s term and X(s, t) = b+ + t - (a+ a) t (a a+).
     """
     am, bm, n = square_pair(a, b)
     require_star_leq(bm, am, "system_family requires b <=* a")
     fa = factor(a)
-    ap, bp = fa.pinv, pinv_below(fa, bm)
+    ap, bp = pinvs_below(fa, bm)
 
     def apply(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         dp = ap - bp

@@ -318,19 +318,29 @@ def test_system_family_particular_is_pinv_b():
 def test_system_family_at_a_rank_straddle(sigma):
     """a = U diag(1, 0.7, sigma, 0, 0, 0) V* and b = U diag(0, 0, sigma, 0, 0, 0) V*.
     At sigma = 3e-12 a's cutoff drops sigma while b's keeps it, so a+ b a+
-    would be 0: b is factored for b+.  At 1e-11 both keep it.  Either way
-    the particular is b+, it solves the system, and X = 0 does not."""
+    would be 0: b is factored for b+, and a+ takes its part on range(b)
+    from b+.  At 1e-11 both keep it.  Either way the particular is b+, it
+    solves the system, X = 0 does not, and so does every member with s = 0.
+    At the straddle a member with random s solves too; at 1e-11 it does
+    not, since a+ - b+ cancels two values of size 1/sigma that the SVD of
+    a holds to u / sigma relative (a conditioning limit, not a straddle)."""
     rng = SplitMix64(Seed(7))
     u, v = unitary(rng, 6), unitary(rng, 6)
     a = (u[:, :3] * [1.0, 0.7, sigma]) @ adj(v[:, :3])
     b = (u[:, 2:3] * sigma) @ adj(v[:, 2:3])
-    assert (factor(a).rank < 3) == (sigma == 3e-12)
+    straddle = sigma == 3e-12
+    assert (factor(a).rank < 3) == straddle
     fam = system_family(a, b)
     assert np.linalg.norm(fam.particular) == pytest.approx(1.0 / sigma, rel=1e-4)
     assert solves_system(a, b, fam.particular).verdict
     rep = solves_system(a, b, zeros(6))
     assert not rep.verdict
     assert rep.residual("eq_bxa") == 1.0
+    for _ in range(3):
+        s, t = rng.complex_gaussian(6, 6), rng.complex_gaussian(6, 6)
+        assert solves_system(a, b, fam.instantiate([zeros(6), t])).verdict
+        if straddle:
+            assert solves_system(a, b, fam.instantiate([s, t])).verdict
 
 
 def test_family_of_near_star_pairs_keeps_the_verdicts():

@@ -10,6 +10,8 @@ from staralg import (
     NumericError,
     PreconditionError,
     Seed,
+    UnsolvableError,
+    douglas_solve,
     factor,
     gen_gp,
     gen_idempotent,
@@ -22,19 +24,23 @@ from staralg import (
     meet_split,
     pinv,
     projector_char,
+    prop_main_check,
     rel_residual,
     star_leq,
     star_residuals,
     sandwich_solve,
     solves_system,
+    system_criterion_residual,
     system_family,
     system_general,
     system_solvable,
 )
 from staralg.cli import main, write_matrix
+from staralg.matcore import eq_residual
 
 GOOD = np.eye(3, dtype=np.complex128)
 ZERO = np.zeros((3, 3), dtype=np.complex128)
+ZERO4 = np.zeros((4, 4), dtype=np.complex128)
 
 BAD = {
     "nan": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.complex128),
@@ -131,6 +137,43 @@ def test_residual_norm_overflow_on_finite_entries_gets_the_right_answer(call):
         assert got is True
     else:
         assert max(got) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_operations_that_do_not_prescale_get_the_right_answer_at_extreme_scale(scale):
+    """Every norm here is a double, but its sum of squares is not; the
+    Frobenius norm takes such a sum again on entries scaled by a power of two."""
+    big, small = gen_star_pair(6, 2, 2, Seed(5))
+    unrelated = gen_star_pair(6, 2, 2, Seed(6))[1]
+    a, b, c = scale * big, scale * small, scale * unrelated
+    with np.errstate(all="raise"):
+        assert eq_residual((a, douglas_solve(a, b).particular), b) <= 1e-14
+        with pytest.raises(UnsolvableError):
+            douglas_solve(a, c)
+        assert eq_residual((a, sandwich_solve(a, b, a).particular, a), b) <= 1e-14
+        assert system_criterion_residual(a, b) <= 1e-15
+        assert system_criterion_residual(a, c) == pytest.approx(
+            system_criterion_residual(big, unrelated), rel=1e-9)
+        hbig, hsmall = gen_star_pair(6, 1, 3, Seed(6), hermitian=True)
+        assert system_solvable(scale * hbig, scale * hsmall)
+        assert not system_solvable(scale * hbig, c + c.conj().T)
+        assert prop_main_check(a, a, pinv(a)).verdict
+        # a <=* t b fails for t != 1, even where |t b| / |a| is beyond 1e154
+        assert not star_leq(small, scale * big)
+        assert not star_leq(a, big)
+
+
+def test_solves_system_with_tiny_entries_reads_the_misfit():
+    """x = 0 leaves b x a = 0 against b; a sum of squares that underflows
+    must not read that as 0.  At 1e-100 P every residual is 1.  At 1e-200 P
+    the equations still read 1, while b b* = 1e-400 P underflows, so the two
+    domination residuals read 0: no rescale of a norm sees a product that underflowed."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
+    for scale, dom in ((1e-100, 1.0), (1e-200, 0.0)):
+        rep = solves_system(np.eye(4), scale * p, ZERO4)
+        assert not rep.verdict
+        assert (rep.residual("eq_bxa"), rep.residual("eq_axb")) == (1.0, 1.0)
+        assert (rep.residual("dom_left"), rep.residual("dom_right")) == (dom, dom)
 
 
 def test_system_family_of_an_unrelated_pair_overflowing_is_not_comparable():
