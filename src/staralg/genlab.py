@@ -267,6 +267,10 @@ def gen_thm23_instance(a, positive: bool, seed: Seed) -> np.ndarray:
     add a 0.1-scaled Hermitian component supported on the orthogonal
     complement of that meet, which is guaranteed to break the criterion;
     requesting a negative for invertible a is an error.
+
+    Two generic subspaces of dimension r meet only in {0} when 2r <= n, so
+    for a generic a of rank at most n/2 the meet is zero and every positive
+    instance is exactly b = 0; a non-trivial positive needs rank(a) > n/2.
     """
     am = square(a, "a")
     p_range, p_corange, _, _ = projectors(am)

@@ -71,6 +71,17 @@ def test_system_criterion_residual_is_scale_free(k):
         assert system_criterion_residual(t * a, t * b) == system_criterion_residual(a, b)
 
 
+@pytest.mark.parametrize("k", (-300, -100, 100, 300))
+def test_matrix_free_oracle_scales_inversely(k):
+    """Above the dense cut-over, X(2**k a, 2**k b) is X(a, b) / 2**k bit for bit."""
+    t = 2.0**k
+    a = gen_rank_r(12, 12, 8, Seed(11))
+    for positive in (True, False):
+        b = gen_thm23_instance(a, positive, Seed(12))
+        x, _ = verify_module.lsq_oracle(a, b)
+        assert verify_module.lsq_oracle(t * a, t * b)[0].tobytes() == (x / t).tobytes()
+
+
 @pytest.mark.parametrize("k", KS)
 def test_solves_system_residuals_are_scale_free(k):
     """(a, b, x) -> (2**k a, 2**k b, 2**-k x) leaves every residual as it is."""

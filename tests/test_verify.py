@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from staralg import (
     UnsolvableError,
 )
 from staralg import verify as verify_module
+from staralg.matcore import eq_residual
 from staralg.report import check_ge, check_le
 
 
@@ -61,6 +63,82 @@ def test_oracle_agrees_with_criterion_on_unstructured_pairs():
         _, res = lsq_oracle(a, b)
         oracle_ok = res / max(1.0, np.linalg.norm(b)) <= DEFAULT_TOL.res_rtol
         assert direct_ok == oracle_ok
+
+
+# --- the matrix-free oracle above the dense cut-over --------------------------
+
+
+def _oracle_cases(n: int, seed: int):
+    """(kind, a, b, solvable) for the five kinds of instance both oracle paths decide."""
+    r = n // 2 + 1 + seed % (n - n // 2 - 1)  # rank > n/2: range(a) & range(a*) != {0}
+    a = gen_rank_r(n, n, r, Seed(seed, 3 * n))
+    b_pos = staralg.gen_thm23_instance(a, True, Seed(seed, 3 * n + 1))
+    assert np.linalg.norm(b_pos) > 0.1
+    big, small = staralg.gen_star_pair(n, 1 + seed % (n - 1), 1, Seed(seed, 3 * n + 2))
+    zero = np.zeros((n, n), dtype=np.complex128)
+    return [
+        ("structured", a, b_pos, True),
+        ("star_pair", big, small, True),
+        ("thm23_negative", a, staralg.gen_thm23_instance(a, False, Seed(seed, 3 * n + 1)), False),
+        ("b_zero", a, zero, True),
+        ("a_zero", zero, gen_rank_r(n, n, n, Seed(seed, 3 * n + 2)), False),
+    ]
+
+
+def _backward_error(a, b, x) -> float:
+    return eq_residual((b, x, a), b) + eq_residual((a, x, b), b)
+
+
+def _decides(a, b, x, solvable: bool) -> bool:
+    be = _backward_error(a, b, x)
+    return DEFAULT_TOL.holds(be) if solvable else be >= staralg.NEG_FLOOR
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_matrix_free_oracle_agrees_with_the_dense_path(n):
+    for kind, a, b, solvable in _oracle_cases(n, 1):
+        x_free = verify_module._cgls(a, b)
+        assert x_free is not None, kind  # certified, not capped
+        x, _ = lsq_oracle(a, b)
+        assert np.array_equal(x, x_free)
+        x_dense = verify_module._dense_lsq(a, b)
+        assert _decides(a, b, x_free, solvable) and _decides(a, b, x_dense, solvable), kind
+        assert np.linalg.norm(x_free - x_dense) <= 1e-9 * np.linalg.norm(x_dense), kind
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_matrix_free_oracle_decides_large_instances(monkeypatch, n):
+    def no_dense(*args):
+        raise AssertionError("CGLS did not certify its X")
+
+    monkeypatch.setattr(verify_module, "_dense_lsq", no_dense)
+    for kind, a, b, solvable in _oracle_cases(n, 7):
+        be = verify_module._oracle_rel(a, b)
+        if solvable:
+            assert DEFAULT_TOL.holds(be), (kind, be)
+        else:
+            assert be >= staralg.NEG_FLOOR, (kind, be)
+
+
+def test_matrix_free_oracle_memory_stays_small():
+    # the dense path's 2n^2 x n^2 matrix alone is 33.5 MB at n = 32
+    _, a, b, _ = _oracle_cases(32, 7)[2]
+    tracemalloc.start()
+    try:
+        lsq_oracle(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_capped_oracle_falls_back_to_the_dense_path(monkeypatch):
+    # with no iteration allowed, only b = 0 or a = 0 is certified, at X = 0
+    monkeypatch.setattr(verify_module, "_CGLS_SWEEPS", 0)
+    for kind, a, b, _ in _oracle_cases(9, 1):
+        x, res = lsq_oracle(a, b)
+        assert np.array_equal(x, verify_module._dense_lsq(a, b)), kind
+        assert res == float(np.linalg.norm(b @ x @ a - b) + np.linalg.norm(a @ x @ b - b))
 
 
 def test_run_suite_rejects_unknown_and_bad_dims():
