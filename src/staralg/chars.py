@@ -21,6 +21,7 @@ from .matcore import (
     factor,
     hermitian_defect,
     idempotent_defect,
+    range_projectors,
     rel_residual,
     require_projector,
     square,
@@ -48,7 +49,7 @@ def _require_range_in(p: np.ndarray, proj: np.ndarray, p_name: str, b_name: str)
         raise PreconditionError(
             f"row dimensions differ: {p_name} has {p.shape[0]}, {b_name} has {proj.shape[0]}"
         )
-    gap = eq_residual((proj, p), p)
+    gap = eq_residual(proj @ p, p)
     if not DEFAULT_TOL.holds(gap):
         raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
 
@@ -76,11 +77,11 @@ def projector_char(p, b, side: Literal["left", "right"]) -> Report:
     fb = factor(b)
     bm = fb.m
     if side == "left":
-        _require_range_in(pm, bm @ fb.pinv, "p", "b")
+        _require_range_in(pm, range_projectors(fb)[0], "p", "b")
         gram = bm @ adj(bm)
         compressed = pm @ bm
     elif side == "right":
-        _require_range_in(pm, fb.pinv @ bm, "p", "b*")
+        _require_range_in(pm, range_projectors(fb)[1], "p", "b*")
         gram = adj(bm) @ bm
         compressed = bm @ pm
     else:
@@ -97,8 +98,9 @@ def pbq_char(p, b, q) -> Report:
     fb = factor(b)
     bm = fb.m
     qm = require_projector(q, "q")
-    _require_range_in(pm, bm @ fb.pinv, "p", "b")
-    _require_range_in(qm, fb.pinv @ bm, "q", "b*")
+    p_range, p_corange = range_projectors(fb)
+    _require_range_in(pm, p_range, "p", "b")
+    _require_range_in(qm, p_corange, "q", "b*")
     right = bm @ qm @ adj(bm)
     left = adj(bm) @ pm @ bm
     return _compression_report(

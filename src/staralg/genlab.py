@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .matcore import adj, factor, meet_projector, projectors, square
+from .matcore import adj, factor, meet_projector, range_projectors, square
 
 __all__ = ["PRNG_NAME", "Seed", "SplitMix64", "gen_rank_r", "gen_star_pair", "gen_gp",
            "gen_idempotent", "gen_thm23_instance"]
@@ -273,6 +273,5 @@ def gen_thm23_instance(a, positive: bool, seed: Seed) -> np.ndarray:
     instance is exactly b = 0; a non-trivial positive needs rank(a) > n/2.
     """
     am = square(a, "a")
-    p_range, p_corange, _, _ = projectors(am)
-    meet = meet_projector(p_range, p_corange)
+    meet = meet_projector(*range_projectors(am))
     return thm23_instance(SplitMix64(seed), meet, positive)

@@ -140,8 +140,15 @@ def projectors(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     zero space is exactly zero; each is Hermitian idempotent within res_rtol.
     """
     f = factor(a)
-    u, v = f.u, adj(f.vh)
-    return tuple(w @ adj(w) for w in (u[:, :f.rank], v[:, :f.rank], u[:, f.rank:], v[:, f.rank:]))
+    u, v = f.u[:, f.rank:], adj(f.vh)[:, f.rank:]
+    return (*range_projectors(f), u @ adj(u), v @ adj(v))
+
+
+def range_projectors(a) -> tuple[np.ndarray, np.ndarray]:
+    """The first two of ``projectors(a)``: the inclusion criteria's pair."""
+    f = factor(a)
+    u, v = f.u[:, :f.rank], adj(f.vh)[:, :f.rank]
+    return u @ adj(u), v @ adj(v)
 
 
 def pinvs_below(fa: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from .matcore import (
     factor,
     hermitian_defect,
     pinvs_below,
+    range_projectors,
     square_pair,
     unit_scale,
 )
@@ -109,30 +110,28 @@ def sandwich_solve(a, c, b) -> SolutionFamily:
         raise PreconditionError(
             f"c must be {am.shape[0]}x{bm.shape[1]} for a X b = c, got {cm.shape}"
         )
-    ap = factor(a).pinv
-    bp = factor(b).pinv
-    crit = eq_residual((am, ap, cm, bp, bm), cm)
+    fa, fb = factor(a), factor(b)
+    (pa, qa), (pb, qb) = range_projectors(fa), range_projectors(fb)
+    crit = eq_residual(pa @ cm @ qb, cm)
     if not DEFAULT_TOL.holds(crit):
         raise UnsolvableError(
             f"a X b = c is unsolvable: criterion residual {crit:.3e} "
             f"> res_rtol {DEFAULT_TOL.res_rtol:g}",
             residual=crit,
         )
-    particular = ap @ cm @ bp
-    left = ap @ am
-    right = bm @ bp
+    particular = fa.pinv @ cm @ fb.pinv
 
     def apply(u: np.ndarray) -> np.ndarray:
-        return particular + u - left @ u @ right
+        return particular + u - qa @ u @ pb
 
     return SolutionFamily(particular, ((am.shape[1], bm.shape[0]),), apply)
 
 
 def system_criterion_residual(a, b) -> float:
-    """Residual of (a a+) b (a+ a) - b, the solvability criterion of the system."""
-    am, bm, _ = square_pair(a, b)
-    ap = factor(a).pinv
-    return eq_residual((am, ap, bm, ap, am), bm)
+    """Residual of P b Q = b, P and Q onto range(a) and range(a*): the system's criterion."""
+    _, bm, _ = square_pair(a, b)
+    p, q = range_projectors(a)
+    return eq_residual(p @ bm @ q, bm)
 
 
 def system_solvable(a, b_selfadjoint) -> bool:
@@ -248,10 +247,9 @@ def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
     am, bm, n, cm, dm, wm = square_pair(a, b, c=c, d=d, w=w_hermitian)
     fa = factor(a)
     ap = fa.pinv
-    bp = factor(b).pinv
     conditions = (
         ("range_c", range_inclusion_residual(cm, fa)),
-        ("corange_d", eq_residual((dm, bp, bm), dm)),
+        ("corange_d", eq_residual(dm @ range_projectors(b)[1], dm)),
         ("link_ad_cb", eq_residual((cm, bm), am @ dm)),
         ("ac_adj_hermitian", eq_residual((am, adj(cm)), cm @ adj(am))),
         ("bd_hermitian", eq_residual((adj(bm), dm), adj(dm) @ bm)),
@@ -303,13 +301,12 @@ def prop_main_check(a, b, x) -> Report:
     (PreconditionError).
     """
     am, bm, _, xm = square_pair(a, b, x=x)
-    fa = factor(a)
-    fb = factor(b)
+    fa, fb = factor(a), factor(b)
 
     ra_in_rb = range_inclusion_residual(am, fb)
     rb_in_ra = range_inclusion_residual(bm, fa)
-    nb_in_na = eq_residual((am, fb.pinv @ bm), am)
-    na_in_nb = eq_residual((bm, fa.pinv @ am), bm)
+    nb_in_na = eq_residual(am @ range_projectors(fb)[1], am)
+    na_in_nb = eq_residual(bm @ range_projectors(fa)[1], bm)
     r_bxa, r_axb = system_residuals(am, bm, xm)
     r_axa = eq_residual((am, xm, am), am)
 

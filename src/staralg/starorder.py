@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotComparableError, PreconditionError
-from .matcore import DEFAULT_TOL, adj, as_cmat, eq_residual, factor, unit_scale
+from .matcore import DEFAULT_TOL, adj, as_cmat, eq_residual, range_projectors, unit_scale
 
 __all__ = ["star_residuals", "star_leq", "range_inclusion_residual"]
 
@@ -45,13 +45,11 @@ def require_star_leq(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 
 def range_inclusion_residual(c, a) -> float:
-    """Residual of a a+ c - c, which vanishes exactly when range(c) <= range(a)."""
+    """Residual of P c = c for the projector P onto range(a), which vanishes
+    exactly when range(c) <= range(a)."""
     cm = as_cmat(c)
-    fa = factor(a)
-    am = fa.m
-    if cm.shape[0] != am.shape[0]:
-        raise PreconditionError(
-            f"row dimensions differ: c has {cm.shape[0]}, a has {am.shape[0]}"
-        )
-    return eq_residual((am, fa.pinv, cm), cm)
+    p = range_projectors(a)[0]
+    if cm.shape[0] != len(p):
+        raise PreconditionError(f"row dimensions differ: c has {cm.shape[0]}, a has {len(p)}")
+    return eq_residual(p @ cm, cm)
 

@@ -50,7 +50,7 @@ from .matcore import (
     idempotent_defect,
     meet_projector,
     pinv,
-    projectors,
+    range_projectors,
     square_pair,
     unit_scale,
 )
@@ -85,19 +85,19 @@ def lsq_oracle(a, b) -> tuple[np.ndarray, float]:
     """Independent solvability oracle for b X a = b = a X b.
 
     Finds the minimum-norm minimizer X of |bXa - b|_F^2 + |aXb - b|_F^2 and
-    returns (X, joint residual |bXa-b|_F + |aXb-b|_F), the residual formed
-    from X.  Solvable means X's backward error is at most res_rtol.  Up to
-    n = 8 the system is vectorized into one 2n^2 x n^2 Kronecker system and
-    solved by SVD-based least squares; above, CGLS runs matrix-free on
-    X -> (bXa, aXb) and falls back to that dense solve when neither of its
-    stopping tests certifies X within 8 n^2 iterations.  Shares nothing
-    with the solver formulas beyond the matrix substrate.
+    returns X with the backward errors of bXa = b and aXb = b summed, each
+    product one lhs so that no |X| divides them; solvable means at most
+    res_rtol.  Up to n = 8 the system is vectorized into one 2n^2 x n^2
+    Kronecker system and solved by SVD-based least squares; above, CGLS runs
+    matrix-free on X -> (bXa, aXb) and falls back to that dense solve when
+    neither of its stopping tests certifies X within 8 n^2 iterations.
+    Shares nothing with the solver formulas beyond the matrix substrate.
     """
     am, bm, n = square_pair(a, b)
     x = _cgls(am, bm) if n > _DENSE_MAX_N else None
     if x is None:
         x = _dense_lsq(am, bm)
-    return x, float(np.linalg.norm(bm @ x @ am - bm) + np.linalg.norm(am @ x @ bm - bm))
+    return x, eq_residual(bm @ x @ am, bm) + eq_residual(am @ x @ bm, bm)
 
 
 def _kron_block(m: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -152,12 +152,6 @@ def _cgls(am: np.ndarray, bm: np.ndarray) -> np.ndarray | None:
         gamma, gamma_old = np.vdot(s, s).real, gamma
         p = s + (gamma / gamma_old) * p
     return None
-
-
-def _oracle_rel(a: np.ndarray, b: np.ndarray) -> float:
-    """Backward error of the oracle's X: the sum of its two equations' backward errors."""
-    x, _ = lsq_oracle(a, b)
-    return eq_residual((b, x, a), b) + eq_residual((a, x, b), b)
 
 
 def _refuted(name: str, residual: float) -> Check:
@@ -274,27 +268,30 @@ def _suite_lem2_2(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     r = rng.randint(n + 1)
     a = rank_r(rng, n, n, r)
     b = a @ rng.complex_gaussian(n, n) @ a  # range(b) <= range(a), range(b*) <= range(a*)
-    p_range, p_corange, _, _ = projectors(a)
+    p_range, p_corange = range_projectors(a)
     return (
-        check_le("null_left_kills", eq_residual((p_range, b), b)),
-        check_le("null_right_kills", eq_residual((b, p_corange), b)),
-        check_le("block_compress", eq_residual((p_range, b, p_corange), b)),
+        check_le("null_left_kills", eq_residual(p_range @ b, b)),
+        check_le("null_right_kills", eq_residual(b @ p_corange, b)),
+        check_le("block_compress", eq_residual(p_range @ b @ p_corange, b)),
     )
 
 
 def _suite_thm2_3(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
-    r = rng.randint(n)  # rank-deficient so a negative instance exists
+    # rank-deficient, so a negative exists, and above n/2, so the meet
+    # range(a) & range(a*) is not {0} and the positive is not b = 0
+    lo = min(n // 2 + 1, n - 1)
+    r = lo + rng.randint(n - lo)
     a = rank_r(rng, n, n, r)
     fa = factor(a)
     ap = fa.pinv
-    meet = meet_projector(a @ ap, ap @ a)
+    meet = meet_projector(*range_projectors(fa))
     b_pos = thm23_instance(rng, meet, True)
     b_neg = thm23_instance(rng, meet, False)
 
     crit_pos = system_criterion_residual(fa, b_pos)
     crit_neg = system_criterion_residual(fa, b_neg)
-    oracle_pos = _oracle_rel(a, b_pos)
-    oracle_neg = _oracle_rel(a, b_neg)
+    oracle_pos = lsq_oracle(a, b_pos)[1]
+    oracle_neg = lsq_oracle(a, b_neg)[1]
     agree = DEFAULT_TOL.holds(crit_pos) == DEFAULT_TOL.holds(oracle_pos) and (
         crit_neg >= NEG_FLOOR
     ) == (oracle_neg >= NEG_FLOOR)
@@ -348,39 +345,39 @@ def _suite_prop3_4(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
     # therefore use a == b with a random inner-inverse-style solution, and
     # strictly larger b is certified unsolvable by the oracle.
     r = 1 + rng.randint(n)
-    a = rank_r(rng, n, n, r)
-    ap = pinv(a)
+    fa = factor(rank_r(rng, n, n, r))
+    a, ap = fa.m, fa.pinv
     x = _inner_inverse(rng, a, ap)
+    p_range, p_corange = range_projectors(fa)
     checks = [
         check_le("solution_axa", eq_residual((a, x, a), a)),
-        check_le("null_spaces_equal", eq_residual((a, ap @ a), a)),
-        check_le("ranges_equal", eq_residual((a @ ap, a), a)),
+        check_le("null_spaces_equal", eq_residual(a @ p_corange, a)),
+        check_le("ranges_equal", eq_residual(p_range @ a, a)),
     ]
     bigger, smaller = _strict_pair(rng, n, min_extra=1)
-    checks.append(_refuted("strict_pair_unsolvable", _oracle_rel(smaller, bigger)))
+    checks.append(_refuted("strict_pair_unsolvable", lsq_oracle(smaller, bigger)[1]))
     return tuple(checks)
 
 
 def _suite_rem3_5(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
-    a = None
-    ap = None
+    fa = None
     for _ in range(100):
         r = 1 + rng.randint(n)
-        cand = rank_r(rng, n, n, r)
-        cand_p = pinv(cand)
-        # partial isometries (pinv == adjoint) cannot witness the failure
-        if np.linalg.norm(cand_p - adj(cand)) > 1e-6 * np.linalg.norm(cand):
-            a, ap = cand, cand_p
+        cand = factor(rank_r(rng, n, n, r))
+        # a partial isometry (pinv == adjoint) cannot witness the failure,
+        # and a near one witnesses it by less than NEG_FLOOR
+        if np.linalg.norm(cand.pinv - adj(cand.m)) > 1e-3 * np.linalg.norm(cand.m):
+            fa = cand
             break
-    assert a is not None and ap is not None
-    astar = adj(a)
-    astar_p = pinv(astar)
-    app = pinv(ap)
+    assert fa is not None
+    a, ap, astar = fa.m, fa.pinv, adj(fa.m)
+    p_astar, q_astar = range_projectors(astar)
+    p_ap, q_ap = range_projectors(ap)
     return (
-        check_le("null_first_in_second", eq_residual((ap, astar_p @ astar), ap)),
-        check_le("null_second_in_first", eq_residual((astar, app @ ap), astar)),
-        check_le("range_first_in_second", eq_residual((astar @ astar_p, ap), ap)),
-        check_le("range_second_in_first", eq_residual((ap @ app, astar), astar)),
+        check_le("null_first_in_second", eq_residual(ap @ q_astar, ap)),
+        check_le("null_second_in_first", eq_residual(astar @ q_ap, astar)),
+        check_le("range_first_in_second", eq_residual(p_astar @ ap, ap)),
+        check_le("range_second_in_first", eq_residual(p_ap @ astar, astar)),
         check_le("middle_identity", eq_residual((ap, a, ap), ap)),
         _refuted("order_fails", _star_gap(ap, astar)),
     )
@@ -686,7 +683,7 @@ def _suite_oracle_agreement(trial: int, n: int, rng: SplitMix64) -> tuple[Check,
     checks = []
     for name, b in (("structured", b_structured), ("raw", b_raw)):
         direct = system_criterion_residual(fa, b)
-        oracle = _oracle_rel(a, b)
+        oracle = lsq_oracle(a, b)[1]
         agree = DEFAULT_TOL.holds(direct) == DEFAULT_TOL.holds(oracle)
         checks.append(check_flag(f"{name}_agree", agree))
         # each path's residual lands cleanly on the side it decided

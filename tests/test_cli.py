@@ -182,21 +182,11 @@ def test_format_matches_per_entry_reference(rows, layout):
     assert parse_matrix(io.StringIO(reference)).tobytes() == np.ascontiguousarray(m).tobytes()
 
 
-def test_written_files_are_byte_stable(tmp_path):
+def test_written_files_are_byte_stable(tmp_path, pinned_env):
     """Pins the bytes ``gen``, ``pinv`` and ``solve system`` write for one
     n = 64 pair, so any change of the text codec or of the solution that
-    alters a written digit fails here.
-
-    Both commands run BLAS products, whose last bits depend on the CPU
-    kernel, so the child runs with one thread and OpenBLAS's baseline x86-64
-    kernel (Prescott).
+    alters a written digit fails here.  The children run in ``pinned_env``.
     """
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OPENBLAS_CORETYPE": "Prescott",
-    }
     cli = [sys.executable, "-m", "staralg"]
     for argv in (
         ["gen", "star-pair", "--n", "64", "--rank", "20", "--extra", "20", "--seed", "3",
@@ -204,16 +194,16 @@ def test_written_files_are_byte_stable(tmp_path):
         ["pinv", "--in", "a.mat", "--out", "pinv_a.mat"],
         ["solve", "system", "--a", "a.mat", "--b", "b.mat", "--out", "x.mat"],
     ):
-        subprocess.run(cli + argv, cwd=tmp_path, env=env, check=True)
+        subprocess.run(cli + argv, cwd=tmp_path, env=pinned_env, check=True)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("a.mat", "b.mat", "pinv_a.mat", "x.mat")
     }
     assert digests == {
-        "a.mat": "26ed4b692013bdd37cccfb05121076f3db29458acd3baecee85d33b0263b9399",
-        "b.mat": "46ce6789dd6b17f516504eac651a45aa38a7a1e0eaf22751582bf9eb811df7fb",
-        "pinv_a.mat": "8bb7e51d2dc6ab283df6e54485548f2d48e13dfe46e1f8dd3b5d40ea51dcc03a",
-        "x.mat": "6e1c5a9b410e10a08846592121c852950bd314b0f9a4418ccddc6bdd8d9a3253",
+        "a.mat": "ef1dd622d89d0ce0206e86d0191fd5c760420677674e66a44b383ac41055a0c0",
+        "b.mat": "d37146dc6153c2965e1f3b12dc8de6ce87cb5b2a8ef33b9b55b35515d8b46756",
+        "pinv_a.mat": "6af2ab726f5de03d42b217235e60f13b18485cf32366b3518d0418c11f360552",
+        "x.mat": "79a3261eebd7b628f7832f705a4c3bd488275aec7c555f342011b93096daefd4",
     }
 
 

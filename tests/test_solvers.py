@@ -19,6 +19,7 @@ from staralg import (
     gen_gp,
     gen_idempotent,
     gen_star_pair,
+    gen_thm23_instance,
     gp_check,
     hermitian_defect,
     hermitian_system_solve,
@@ -26,6 +27,7 @@ from staralg import (
     pbq_char,
     pinv,
     projector_char,
+    projectors,
     prop_main_check,
     range_inclusion_residual,
     reduce_system,
@@ -167,6 +169,24 @@ def test_system_solvable_examples():
     assert system_solvable(np.eye(3), h)
     assert not system_solvable(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert system_solvable(np.diag([1.0, 0.0]), np.diag([3.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [8, 64, 300])
+def test_system_criterion_reads_the_relative_defect_at_every_rank(n):
+    """b is a Hermitian compression onto the meet of range(a) and range(a*)
+    plus a tilt w w* with w in null(a*), sized to a relative defect
+    |P b Q - b| / |b| of about 1e-5.  The criterion compresses b by the
+    projectors P, Q themselves, so it reads half that defect whatever the
+    rank and conditioning of a, and the system is unsolvable."""
+    a = gen_rank_r(n, n, 3 * n // 4, Seed(83, n))
+    p, q, null_adj, _ = projectors(a)
+    b = gen_thm23_instance(a, True, Seed(84, n))
+    w = null_adj @ SplitMix64(Seed(85, n)).complex_gaussian(n, 1)
+    b = b + 1e-5 * np.linalg.norm(b) * (w @ adj(w)) / np.vdot(w, w).real
+    defect = np.linalg.norm(p @ b @ q - b) / np.linalg.norm(b)
+    assert 0.5e-5 <= defect <= 1e-5
+    assert not system_solvable(a, b)
+    assert 0.4 * defect <= system_criterion_residual(a, b) <= 0.6 * defect
 
 
 def test_system_solvable_requires_selfadjoint():
@@ -620,7 +640,7 @@ def test_criterion_oracle_and_pinv_agree():
         crit = system_criterion_residual(a, b)
         _, res = lsq_oracle(a, b)
         assert crit <= RES
-        assert res / max(1.0, np.linalg.norm(b)) <= RES
+        assert res <= RES
         x = pinv(a)
         assert rel_residual(b @ x @ a - b, b) <= RES
         assert rel_residual(a @ x @ b - b, b) <= RES

@@ -1,11 +1,11 @@
 """Oracle, suite-runner, and report-format tests."""
 
+import contextlib
 import hashlib
-import os
+import io
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from staralg import (
     UnsolvableError,
 )
 from staralg import verify as verify_module
+from staralg.cli import main
 from staralg.matcore import eq_residual
 from staralg.report import check_ge, check_le
 
@@ -49,8 +50,25 @@ def test_lsq_oracle_unsolvable():
     a = np.diag([1.0, 0.0])
     b = np.diag([0.0, 1.0])
     _, res = lsq_oracle(a, b)
-    assert res >= 0.9 * np.linalg.norm(b)
+    assert res >= 1.9  # each equation misses by its whole right side
     assert not system_criterion_residual(a, b) <= DEFAULT_TOL.res_rtol
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_oracle_and_criterion_refute_an_ill_conditioned_pair(n):
+    """a = diag(1, 1e-9, 0) (+ I), of rank n - 1 at the 1e-12 cutoff, and
+    b = e1 e2* + e2 e1* + e3 e3* (+ I): every X misses b's e3 e3* entry by 1
+    in both equations, and the minimizer has X22 = 1e9.  A residual divided
+    by |X| |a|, or by |a| |a+|, reads about 1e-9 here and calls the pair
+    solvable; the oracle (dense at n = 3, matrix-free at n = 12) and the
+    criterion both read it unsolvable."""
+    a = np.diag([1.0, 1e-9, 0.0] + [1.0] * (n - 3))
+    b = np.eye(n)
+    b[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    x, res = lsq_oracle(a, b)
+    assert np.linalg.norm(x) >= 1e9 * (1 - 1e-6)
+    assert res >= staralg.NEG_FLOOR
+    assert system_criterion_residual(a, b) >= staralg.NEG_FLOOR
 
 
 def test_oracle_agrees_with_criterion_on_unstructured_pairs():
@@ -61,7 +79,7 @@ def test_oracle_agrees_with_criterion_on_unstructured_pairs():
         b = rng.complex_gaussian(n, n)
         direct_ok = system_criterion_residual(a, b) <= DEFAULT_TOL.res_rtol
         _, res = lsq_oracle(a, b)
-        oracle_ok = res / max(1.0, np.linalg.norm(b)) <= DEFAULT_TOL.res_rtol
+        oracle_ok = DEFAULT_TOL.holds(res)
         assert direct_ok == oracle_ok
 
 
@@ -85,24 +103,24 @@ def _oracle_cases(n: int, seed: int):
     ]
 
 
-def _backward_error(a, b, x) -> float:
-    return eq_residual((b, x, a), b) + eq_residual((a, x, b), b)
-
-
-def _decides(a, b, x, solvable: bool) -> bool:
-    be = _backward_error(a, b, x)
+def _decides(be: float, solvable: bool) -> bool:
     return DEFAULT_TOL.holds(be) if solvable else be >= staralg.NEG_FLOOR
 
 
 @pytest.mark.parametrize("n", [9, 12, 16])
-def test_matrix_free_oracle_agrees_with_the_dense_path(n):
-    for kind, a, b, solvable in _oracle_cases(n, 1):
+def test_matrix_free_oracle_agrees_with_the_dense_path(monkeypatch, n):
+    cases = _oracle_cases(n, 1)
+    free = []
+    for kind, a, b, _ in cases:
         x_free = verify_module._cgls(a, b)
         assert x_free is not None, kind  # certified, not capped
-        x, _ = lsq_oracle(a, b)
+        x, be = lsq_oracle(a, b)
         assert np.array_equal(x, x_free)
-        x_dense = verify_module._dense_lsq(a, b)
-        assert _decides(a, b, x_free, solvable) and _decides(a, b, x_dense, solvable), kind
+        free.append((x, be))
+    monkeypatch.setattr(verify_module, "_cgls", lambda a, b: None)  # the dense fallback
+    for (kind, a, b, solvable), (x_free, be_free) in zip(cases, free):
+        x_dense, be_dense = lsq_oracle(a, b)
+        assert _decides(be_free, solvable) and _decides(be_dense, solvable), kind
         assert np.linalg.norm(x_free - x_dense) <= 1e-9 * np.linalg.norm(x_dense), kind
 
 
@@ -113,11 +131,8 @@ def test_matrix_free_oracle_decides_large_instances(monkeypatch, n):
 
     monkeypatch.setattr(verify_module, "_dense_lsq", no_dense)
     for kind, a, b, solvable in _oracle_cases(n, 7):
-        be = verify_module._oracle_rel(a, b)
-        if solvable:
-            assert DEFAULT_TOL.holds(be), (kind, be)
-        else:
-            assert be >= staralg.NEG_FLOOR, (kind, be)
+        be = lsq_oracle(a, b)[1]
+        assert _decides(be, solvable), (kind, be)
 
 
 def test_matrix_free_oracle_memory_stays_small():
@@ -138,7 +153,17 @@ def test_capped_oracle_falls_back_to_the_dense_path(monkeypatch):
     for kind, a, b, _ in _oracle_cases(9, 1):
         x, res = lsq_oracle(a, b)
         assert np.array_equal(x, verify_module._dense_lsq(a, b)), kind
-        assert res == float(np.linalg.norm(b @ x @ a - b) + np.linalg.norm(a @ x @ b - b))
+        assert res == eq_residual(b @ x @ a, b) + eq_residual(a @ x @ b, b)
+
+
+def test_rem3_5_redraws_near_partial_isometries():
+    """Trial 49 of rem3.5 at dims 2, seed 11, first draws a rank-1 a with
+    sigma = 1.0000033: a+ is within 3.3e-6 |a| of a*, so the order fails by
+    only 3.3e-6, inside the gray zone.  The suite redraws such an a, and the
+    whole run passes."""
+    argv = ["verify", "--suite", "all", "--trials", "50", "--dims", "2", "--seed", "11"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
 
 
 def test_run_suite_rejects_unknown_and_bad_dims():
@@ -170,29 +195,22 @@ def test_suite_runs_are_deterministic():
 
 
 STREAM_DIGESTS = {
-    "6": "10a923b589606bc23d7e8cc628775b4211f83d687bb5bf256342ca8679de15b2",
-    "8": "ba3f8ff7a14e682d5b421194cd5a388fcc0a8988489252682cb6b10e02f69d72",
+    "6": "c4072c88f04d8a30540e1140bb031b06302502cf98a4b7f922c7c8c1dc4d2013",
+    "8": "869148e80f933c5cfa9dec58742061e417319eabe721ba7d80492b7b1b7358b3",
 }
 
 
 @pytest.mark.parametrize("dims", sorted(STREAM_DIGESTS))
-def test_report_stream_digest_is_pinned(tmp_path, dims):
+def test_report_stream_digest_is_pinned(tmp_path, pinned_env, dims):
     """Pins the SHA-256 of the full ``verify --suite all`` report stream at
     dims 6 and 8, so a refactor that moves any reported digit or draw fails
     here.  A numeric change re-pins it.  As for the written-file pins, the
-    child runs with one BLAS thread and OpenBLAS's baseline x86-64 kernel
-    (Prescott)."""
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OPENBLAS_CORETYPE": "Prescott",
-    }
+    child runs in ``pinned_env``."""
     cmd = [
         sys.executable, "-m", "staralg", "verify",
         "--suite", "all", "--trials", "50", "--dims", dims, "--seed", "1",
     ]
-    done = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env)
+    done = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=pinned_env)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == STREAM_DIGESTS[dims]
 
@@ -299,6 +317,6 @@ def test_oracle_finds_solutions_on_solvable_pairs():
 
     big, small = gen_star_pair(4, 2, 1, Seed(201))
     x_oracle, res = lsq_oracle(big, small)
-    assert res <= 1e-8 * max(1.0, np.linalg.norm(small))
+    assert DEFAULT_TOL.holds(res)
     assert np.allclose(small @ x_oracle @ big, small, atol=1e-8)
     assert np.allclose(big @ x_oracle @ small, small, atol=1e-8)
