@@ -4,6 +4,8 @@ commands, instance generators, and the claim-suite runner.
 Matrix files are plain text: a ``rows cols`` header line followed by one
 line per row of whitespace-separated ``(re,im)`` tokens.  Floats are written
 with 17 significant digits, so write-then-read round-trips bit exactly.
+Written files are read in one bulk pass; any other file row by row, which
+locates the first malformed entry.
 
 Exit codes are the machine contract:
     0  success / predicate holds
@@ -40,9 +42,10 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["parse_matrix", "format_matrix", "write_matrix", "main"]
 
-_ROW_TOKEN = r"\(([^\s(),]+),([^\s(),]+)\)"
-_TOKEN = re.compile(_ROW_TOKEN)
-_ROW = re.compile(rf"\s*{_ROW_TOKEN}(?:\s+{_ROW_TOKEN})*\s*")
+_TOKEN = re.compile(r"\(([^\s(),]+),([^\s(),]+)\)")
+# the rows format_matrix writes: ASCII number characters, blank-separated tokens
+_PLAIN = r"\([0-9eE.+-]+,[0-9eE.+-]+\)"
+_PLAIN_ROW = re.compile(rf"[ \t]*{_PLAIN}(?:[ \t]+{_PLAIN})*[ \t]*")
 _UNWRAP = str.maketrans("(),", "   ")
 
 
@@ -83,16 +86,20 @@ def parse_matrix(source) -> np.ndarray:
     """Read a matrix from a path or a text stream.
 
     Raises MatrixFormatError with 1-based line and column positions on any
-    deviation from the format.  Each row line that matches the token grammar
-    and holds only finite values is converted in one pass; any other line is
-    re-parsed token by token, in order, so that the first bad entry in
-    reading order is the one reported.
+    deviation from the format.  A body whose every row line holds only
+    blank-separated ``(re,im)`` tokens of the characters ``0-9eE.+-`` (the
+    rows ``format_matrix`` writes) is converted in one bulk pass, kept only
+    if it has ``cols`` entries per row, all finite.  Any other body is parsed
+    token by token, in order, so that the first bad entry in reading order is
+    the one reported.  Both paths read every number with CPython's correctly
+    rounded ``PyOS_string_to_double``, so they agree bit for bit.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
+    del text  # the split lines are the only copy kept
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing 'rows cols' header", line=1, column=1)
     try:
@@ -115,24 +122,21 @@ def parse_matrix(source) -> np.ndarray:
             line=min(len(body), rows) + 2,
             column=1,
         )
-    if rows * cols > len(text):
-        # every entry takes a character, so some row is short: report the
-        # first bad row without allocating what the header claims
-        for i, line in enumerate(body):
-            _parse_row(line, i + 2, cols)
-    out = np.empty((rows, cols), dtype=np.complex128)
-    parts = out.view(np.float64)  # row i holds re, im, re, im, ... of out[i]
-    for i, line in enumerate(body):
-        if _ROW.fullmatch(line):
-            try:
-                parts[i] = [*map(float, line.translate(_UNWRAP).split())]
-            except ValueError:
-                pass
-            else:
-                if np.isfinite(parts[i]).all():
-                    continue
-        out[i] = _parse_row(line, i + 2, cols)
-    return out
+    if all(_PLAIN_ROW.fullmatch(line) for line in body):
+        try:
+            parts = np.loadtxt(
+                (line.translate(_UNWRAP) for line in body), comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+        else:
+            # row i holds re, im, re, im, ... of row i of the matrix
+            if parts.shape == (rows, 2 * cols) and np.isfinite(parts).all():
+                return parts.view(np.complex128)
+    # each row is checked against cols before anything is allocated for it
+    return np.array(
+        [_parse_row(line, i + 2, cols) for i, line in enumerate(body)], dtype=np.complex128
+    )
 
 
 def format_matrix(m) -> str:

@@ -30,7 +30,7 @@ from .chars import (
     deng_decompose,
     gp_decompose,
 )
-from .errors import PreconditionError, UnsolvableError
+from .errors import NumericError, PreconditionError, UnsolvableError
 from .genlab import (
     Seed,
     SplitMix64,
@@ -360,16 +360,15 @@ def _suite_prop3_4(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
 
 
 def _suite_rem3_5(trial: int, n: int, rng: SplitMix64) -> tuple[Check, ...]:
-    fa = None
     for _ in range(100):
         r = 1 + rng.randint(n)
-        cand = factor(rank_r(rng, n, n, r))
+        fa = factor(rank_r(rng, n, n, r))
         # a partial isometry (pinv == adjoint) cannot witness the failure,
         # and a near one witnesses it by less than NEG_FLOOR
-        if np.linalg.norm(cand.pinv - adj(cand.m)) > 1e-3 * np.linalg.norm(cand.m):
-            fa = cand
+        if np.linalg.norm(fa.pinv - adj(fa.m)) > 1e-3 * np.linalg.norm(fa.m):
             break
-    assert fa is not None
+    else:
+        raise NumericError("rem3.5 could not draw a non-partial-isometry in 100 attempts")
     a, ap, astar = fa.m, fa.pinv, adj(fa.m)
     p_astar, q_astar = range_projectors(astar)
     p_ap, q_ap = range_projectors(ap)

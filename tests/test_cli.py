@@ -153,6 +153,124 @@ def test_parse_accepts_float_grammar_and_any_whitespace(text, expected):
 edge = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
 
 
+def _parse_every_row(text):
+    """Reference parse: every row line through ``cli._parse_row``, in order."""
+    lines = text.splitlines()
+    rows, cols = map(int, lines[0].split())
+    body = lines[1:rows + 1]
+    return np.array(
+        [cli._parse_row(line, i + 2, cols) for i, line in enumerate(body)], dtype=complex
+    )
+
+
+def _assert_parses_as_every_row(text):
+    """parse_matrix gives the reference's bytes, or its message, line and column."""
+
+    def outcome(parse):
+        try:
+            return parse(text).tobytes()
+        except MatrixFormatError as exc:
+            return str(exc), exc.line, exc.column
+
+    assert outcome(lambda t: parse_matrix(io.StringIO(t))) == outcome(_parse_every_row), text
+
+
+def _mutated_file(rows, mutations, newline="\n", tail=""):
+    """The text format_matrix writes for ``rows`` of (re, im), with each
+    (row, mutation) applied: a separator, one re or im part, or a whole token
+    replaced, or a blank prefix or suffix added."""
+    cols = len(rows[0])
+    tokens = [[f"({re:.17g},{im:.17g})" for re, im in row] for row in rows]
+    seps = [[" "] * (cols - 1) + [""] for _ in rows]
+    pads = [["", ""] for _ in rows]
+    for i, (kind, where, *what) in mutations:
+        i %= len(rows)
+        if kind == "sep" and cols > 1:
+            seps[i][where % (cols - 1)] = what[0]
+        elif kind == "part":
+            parts = tokens[i][where % cols][1:-1].split(",")
+            parts[what[0]] = what[1]
+            tokens[i][where % cols] = f"({parts[0]},{parts[1]})"
+        elif kind == "token":
+            tokens[i][where % cols] = what[0]
+        elif kind == "pad":
+            pads[i][where] = what[0]
+    lines = [f"{len(rows)} {cols}"] + [
+        lead + "".join(map("".join, zip(toks, sep))) + trail
+        for toks, sep, (lead, trail) in zip(tokens, seps, pads)
+    ]
+    return newline.join(lines) + tail.replace("\n", newline)
+
+
+SEP_SWAPS = ["\t", "\xa0", "  ", ""]  # "" makes two tokens adjacent
+PART_SWAPS = ["1_0", "+1E2", ".5", "5.", "1e999", "-1e999", "nan", "inf", "-inf", "", "e", "1e5e"]
+TOKEN_SWAPS = ["((1,0)", "(1,,0)", "(,2)3 (4,5)", "(1,2)3", "(1,0) (2,0)"]
+PADS = [" ", "\t", " \t"]
+MUTATIONS = [
+    *(("sep", 0, sep) for sep in SEP_SWAPS),
+    *(("part", 1, side, part) for side in (0, 1) for part in PART_SWAPS),
+    *(("token", 1, token) for token in TOKEN_SWAPS),
+    *(("pad", side, pad) for side in (0, 1) for pad in PADS),
+]
+EDGE_ROWS = [
+    [(-0.0, 5e-324), (1.7976931348623157e308, -1.7976931348623157e308), (0.1, -2.5e-310)],
+    [(1.0, 0.0), (-3.0, 1e-300), (7e200, 2.0)],
+    [(0.0, -0.0), (123.456, 1e22), (-5e-324, 1.0)],
+]
+
+
+@pytest.mark.parametrize("newline,tail", [("\n", ""), ("\r\n", "\n\n \t\n")])
+def test_each_mutation_parses_as_every_row(newline, tail):
+    for rows in (EDGE_ROWS, EDGE_ROWS[:1]):
+        _assert_parses_as_every_row(_mutated_file(rows, [], newline, tail))
+        for mutation in MUTATIONS:
+            for row in range(len(rows)):
+                _assert_parses_as_every_row(_mutated_file(rows, [(row, mutation)], newline, tail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.tuples(finite | edge, finite | edge), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(MUTATIONS)), max_size=3),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["", "\n", "\n  \n\t\n"]),
+)
+def test_parse_matches_the_row_by_row_reference(rows, mutations, newline, tail):
+    """Both parse paths agree with ``_parse_row`` run on every line, for
+    written files and any mix of mutations of them."""
+    _assert_parses_as_every_row(_mutated_file(rows, mutations, newline, tail))
+
+
+def test_written_files_take_the_bulk_path(tmp_path, monkeypatch):
+    """Files ``gen`` writes never reach the row-by-row parser; a file with one
+    NBSP-separated row does, for every row, and reads the same values."""
+    assert run("gen", "star-pair", "--n", "64", "--rank", "20", "--extra", "20", "--seed", "3",
+               "--out-a", str(tmp_path / "a.mat"), "--out-b", str(tmp_path / "b.mat")) == 0
+    real_parse_row = cli._parse_row
+
+    def refuse(*args):
+        raise AssertionError("a written file left the bulk path")
+
+    monkeypatch.setattr(cli, "_parse_row", refuse)
+    parsed = {name: parse_matrix(tmp_path / name) for name in ("a.mat", "b.mat")}
+    for name, m in zip(("a.mat", "b.mat"), gen_star_pair(64, 20, 20, Seed(3))):
+        assert parsed[name].tobytes() == m.tobytes()
+
+    calls = []
+    monkeypatch.setattr(cli, "_parse_row", lambda *args: calls.append(args) or real_parse_row(*args))
+    lines = (tmp_path / "a.mat").read_text().split("\n")
+    lines[5] = lines[5].replace(") (", ")\xa0(", 1)
+    (tmp_path / "nbsp.mat").write_text("\n".join(lines), encoding="utf-8")
+    assert parse_matrix(tmp_path / "nbsp.mat").tobytes() == parsed["a.mat"].tobytes()
+    assert len(calls) == 64
+
+
 LAYOUTS = {
     "as-built": lambda m: m,
     "transposed": lambda m: m.T,

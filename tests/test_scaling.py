@@ -15,11 +15,15 @@ import staralg.genlab as genlab
 from staralg import (
     Seed,
     SplitMix64,
+    douglas_solve,
+    factor,
     gen_rank_r,
     gen_star_pair,
     gen_thm23_instance,
     pinv,
+    prop_main_check,
     run_suite,
+    sandwich_solve,
     solves_system,
     star_leq,
     star_residuals,
@@ -52,6 +56,44 @@ def test_pinv_scales_inversely(k):
     for big, small in _pairs():
         for m in (big, small):
             assert pinv(t * m).tobytes() == (pinv(m) / t).tobytes()
+
+
+@pytest.mark.parametrize("k", KS)
+def test_singular_values_scale_with_the_matrix(k):
+    t = 2.0**k
+    for big, small in _pairs():
+        for m in (big, small):
+            assert factor(t * m).s.tobytes() == (t * factor(m).s).tobytes()
+
+
+@pytest.mark.parametrize("k", KS)
+def test_douglas_particular_is_scale_free(k):
+    """a+ c is homogeneous of degree 0 in (a, c)."""
+    t = 2.0**k
+    for big, small in _pairs():
+        got = douglas_solve(t * big, t * small).particular
+        assert got.tobytes() == douglas_solve(big, small).particular.tobytes()
+
+
+@pytest.mark.parametrize("k", KS)
+def test_sandwich_particular_scales_inversely(k):
+    """a+ c b+ is homogeneous of degree -1 in (a, c, b)."""
+    t = 2.0**k
+    for big, small in _pairs():
+        got = sandwich_solve(t * big, t * small, t * big).particular
+        assert got.tobytes() == (sandwich_solve(big, small, big).particular / t).tobytes()
+
+
+@pytest.mark.parametrize("k", KS)
+def test_prop_main_check_is_scale_free(k):
+    """(a, b, x) -> (2**k a, 2**k b, 2**-k x) keeps every residual and verdict."""
+    t = 2.0**k
+    rng = SplitMix64(Seed(13))
+    for big, small in _pairs():
+        n = big.shape[0]
+        for a, b in ((small, big), (big, small)):
+            for x in (pinv(b), pinv(a), rng.complex_gaussian(n, n)):
+                assert prop_main_check(t * a, t * b, x / t).checks == prop_main_check(a, b, x).checks
 
 
 @pytest.mark.parametrize("k", KS)

@@ -14,6 +14,7 @@ import staralg
 from staralg import (
     DEFAULT_TOL,
     Check,
+    NumericError,
     PreconditionError,
     Report,
     Seed,
@@ -164,6 +165,14 @@ def test_rem3_5_redraws_near_partial_isometries():
     argv = ["verify", "--suite", "all", "--trials", "50", "--dims", "2", "--seed", "11"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
+
+
+def test_rem3_5_reports_an_exhausted_redraw(monkeypatch):
+    """A draw that only ever gives partial isometries ends in a NumericError
+    that names the suite, also under ``python -O``."""
+    monkeypatch.setattr(verify_module, "rank_r", lambda rng, m, n, r: np.eye(m, n))
+    with pytest.raises(NumericError, match=r"rem3\.5 .* 100 attempts"):
+        run_suite("rem3.5", 1, 4, 1)
 
 
 def test_run_suite_rejects_unknown_and_bad_dims():
