@@ -4,8 +4,9 @@ commands, instance generators, and the claim-suite runner.
 Matrix files are plain text: a ``rows cols`` header line followed by one
 line per row of whitespace-separated ``(re,im)`` tokens.  Floats are written
 with 17 significant digits, so write-then-read round-trips bit exactly.
-Written files are read in one bulk pass; any other file row by row, which
-locates the first malformed entry.
+Written files are streamed in and out line by line; any other file is read
+row by row, which locates the first malformed entry.  ``solve system`` factors
+a on a worker thread while it reads b.
 
 Exit codes are the machine contract:
     0  success / predicate holds
@@ -17,9 +18,12 @@ Exit codes are the machine contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ from . import __version__
 from .chars import gp_check
 from .errors import MatrixFormatError, NumericError, StaralgError
 from .genlab import PRNG_NAME, Seed, gen_gp, gen_idempotent, gen_rank_r, gen_star_pair
-from .matcore import DEFAULT_TOL, as_cmat, pinv
+from .matcore import DEFAULT_TOL, as_cmat, factor, pinv
 from .report import to_line
 from .solvers import (
     sandwich_solve,
@@ -43,10 +47,16 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["parse_matrix", "format_matrix", "write_matrix", "main"]
 
 _TOKEN = re.compile(r"\(([^\s(),]+),([^\s(),]+)\)")
-# the rows format_matrix writes: ASCII number characters, blank-separated tokens
+# the lines format_matrix writes: ASCII number characters, blank-separated
+# tokens, and no line boundary of str.splitlines but the final "\n"
+_HEADER = re.compile(r"([1-9][0-9]*) ([1-9][0-9]*)\n")
 _PLAIN = r"\([0-9eE.+-]+,[0-9eE.+-]+\)"
-_PLAIN_ROW = re.compile(rf"[ \t]*{_PLAIN}(?:[ \t]+{_PLAIN})*[ \t]*")
+_PLAIN_ROW = re.compile(rf"[ \t]*{_PLAIN}(?:[ \t]+{_PLAIN})*[ \t]*\n?")
 _UNWRAP = str.maketrans("(),", "   ")
+
+
+class _NotWritten(ValueError):
+    """The text departs from what format_matrix writes."""
 
 
 def _parse_token(token: str, line_no: int, column: int) -> complex:
@@ -82,23 +92,59 @@ def _parse_row(line: str, line_no: int, cols: int) -> list[complex]:
     return [_parse_token(tok.group(0), line_no, tok.start() + 1) for tok in tokens]
 
 
+def _parse_written(lines) -> np.ndarray:
+    """Stream text as format_matrix writes it into one ``loadtxt``, kept if it
+    has ``cols`` finite entries per row; any departure, undecodable bytes
+    included, raises a ValueError."""
+    header = _HEADER.fullmatch(lines.readline())
+    if header is None:
+        raise _NotWritten
+    rows, cols = int(header[1]), int(header[2])
+
+    def unwrapped():
+        for _ in range(rows):
+            line = lines.readline()
+            if not _PLAIN_ROW.fullmatch(line):
+                raise _NotWritten
+            yield line.translate(_UNWRAP)
+        if any(line.strip() for line in lines):  # only blank lines may follow
+            raise _NotWritten
+
+    parts = np.loadtxt(unwrapped(), comments=None, ndmin=2)
+    # row i holds re, im, re, im, ... of row i of the matrix
+    if parts.shape != (rows, 2 * cols) or not np.isfinite(parts).all():
+        raise _NotWritten
+    return parts.view(np.complex128)
+
+
+def _read_utf8(path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line and column, counted as _parse_row counts them
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise MatrixFormatError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                                line=len(lines), column=len(lines[-1])) from None
+
+
 def parse_matrix(source) -> np.ndarray:
     """Read a matrix from a path or a text stream.
 
     Raises MatrixFormatError with 1-based line and column positions on any
-    deviation from the format.  A body whose every row line holds only
-    blank-separated ``(re,im)`` tokens of the characters ``0-9eE.+-`` (the
-    rows ``format_matrix`` writes) is converted in one bulk pass, kept only
-    if it has ``cols`` entries per row, all finite.  Any other body is parsed
+    deviation from the format, bytes that are not UTF-8 included.  A file
+    laid out as ``format_matrix`` writes it is streamed line by line into one
+    bulk conversion, so no copy of its whole text is held (a stream source is
+    read whole first).  Any other text is read again as a whole and parsed
     token by token, in order, so that the first bad entry in reading order is
     the one reported.  Both paths read every number with CPython's correctly
     rounded ``PyOS_string_to_double``, so they agree bit for bit.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    text = source.read() if hasattr(source, "read") else None
+    stream = open(source, encoding="utf-8") if text is None else io.StringIO(text, newline=None)
+    with stream, contextlib.suppress(ValueError):  # any departure: read the text exactly
+        return _parse_written(stream)
+    lines = (_read_utf8(source) if text is None else text).splitlines()
     del text  # the split lines are the only copy kept
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing 'rows cols' header", line=1, column=1)
@@ -122,36 +168,30 @@ def parse_matrix(source) -> np.ndarray:
             line=min(len(body), rows) + 2,
             column=1,
         )
-    if all(_PLAIN_ROW.fullmatch(line) for line in body):
-        try:
-            parts = np.loadtxt(
-                (line.translate(_UNWRAP) for line in body), comments=None, ndmin=2
-            )
-        except ValueError:
-            pass
-        else:
-            # row i holds re, im, re, im, ... of row i of the matrix
-            if parts.shape == (rows, 2 * cols) and np.isfinite(parts).all():
-                return parts.view(np.complex128)
     # each row is checked against cols before anything is allocated for it
     return np.array(
         [_parse_row(line, i + 2, cols) for i, line in enumerate(body)], dtype=np.complex128
     )
 
 
-def format_matrix(m) -> str:
-    """Serialize a matrix; floats carry 17 significant digits for round-trips."""
-    mat = as_cmat(m)
-    row_format = " ".join(["(%.17g,%.17g)"] * mat.shape[1])
-    lines = [f"{mat.shape[0]} {mat.shape[1]}"]
+def _format_lines(mat: np.ndarray):
+    row_format = " ".join(["(%.17g,%.17g)"] * mat.shape[1]) + "\n"
+    yield f"{mat.shape[0]} {mat.shape[1]}\n"
     for row in mat:
         # re, im, re, im, ... of one row; the copy only happens for strided rows
-        lines.append(row_format % tuple(np.ascontiguousarray(row).view(np.float64).tolist()))
-    return "\n".join(lines) + "\n"
+        yield row_format % tuple(np.ascontiguousarray(row).view(np.float64).tolist())
+
+
+def format_matrix(m) -> str:
+    """Serialize a matrix; floats carry 17 significant digits for round-trips."""
+    return "".join(_format_lines(as_cmat(m)))
 
 
 def write_matrix(path, m) -> None:
-    Path(path).write_text(format_matrix(m), encoding="utf-8")
+    """Write ``format_matrix(m)`` line by line; a bad m raises before the file opens."""
+    mat = as_cmat(m)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_format_lines(mat))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,15 +324,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.equation == "system":
         a = parse_matrix(args.a)
-        b = parse_matrix(args.b)
+        factored = []
+
+        def factor_a() -> None:
+            with contextlib.suppress(StaralgError):  # then system_family raises it as always
+                factored.append(factor(a))
+
+        # LAPACK releases the GIL: a's SVD runs on a second core while b is read
+        worker = threading.Thread(target=factor_a)
+        worker.start()
+        try:
+            b = parse_matrix(args.b)
+        finally:
+            worker.join()
+        fa = factored[0] if factored else a
         if args.s is None and args.t is None:
             # X(0, 0) bit for bit: it adds zero terms to b+, which turn a -0.0 into +0.0
-            x = system_family(a, b).particular + 0.0
+            x = system_family(fa, b).particular + 0.0
         else:
             n = a.shape[0]
             s = _load_or_zeros(args.s, (n, n))
             t = _load_or_zeros(args.t, (n, n))
-            x = system_general(a, b, s, t)
+            x = system_general(fa, b, s, t)
         write_matrix(args.out, x)
         return 0
     if args.equation == "hermitian":

@@ -5,6 +5,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,14 @@ def test_parse_column():
     assert np.array_equal(m, np.array([[1j], [-1j]]))
 
 
+def _sources(text, directory):
+    """``text`` as a stream, and as the path of a file in ``directory`` that
+    holds its UTF-8 bytes: the two ways ``parse_matrix`` reads."""
+    path = Path(directory) / "source.mat"
+    path.write_bytes(text.encode("utf-8"))
+    return io.StringIO(text), path
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -91,11 +101,12 @@ def test_round_trip_via_files(tmp_path):
         ("2 1\n(1,0)\n\n(2,0)", 4, 1),
     ],
 )
-def test_parse_errors_carry_position(text, line, column):
-    with pytest.raises(MatrixFormatError) as excinfo:
-        parse_matrix(io.StringIO(text))
-    assert excinfo.value.line == line
-    assert excinfo.value.column == column
+def test_parse_errors_carry_position(text, line, column, tmp_path):
+    for source in _sources(text, tmp_path):
+        with pytest.raises(MatrixFormatError) as excinfo:
+            parse_matrix(source)
+        assert excinfo.value.line == line
+        assert excinfo.value.column == column
 
 
 @pytest.mark.parametrize(
@@ -126,12 +137,15 @@ def test_parse_errors_carry_position(text, line, column):
         ("1 1152921504606846976\n(1,0)",
          "expected 1152921504606846976 entries, found 1 (line 2, column 1)"),
         ("1 100000000000\n(1,0)", "expected 100000000000 entries, found 1 (line 2, column 1)"),
+        # a blank line between written rows is not skipped
+        ("2 1\n(1,0)\n\n(2,0)\n", "expected 2 row lines, found 3 (line 4, column 1)"),
     ],
 )
-def test_malformed_rows_report_message_and_position(text, message):
-    with pytest.raises(MatrixFormatError) as excinfo:
-        parse_matrix(io.StringIO(text))
-    assert str(excinfo.value) == message
+def test_malformed_rows_report_message_and_position(text, message, tmp_path):
+    for source in _sources(text, tmp_path):
+        with pytest.raises(MatrixFormatError) as excinfo:
+            parse_matrix(source)
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -144,10 +158,33 @@ def test_malformed_rows_report_message_and_position(text, message):
         ("1 1\n(+1E2,-.5)", [[100 - 0.5j]]),
     ],
 )
-def test_parse_accepts_float_grammar_and_any_whitespace(text, expected):
-    m = parse_matrix(io.StringIO(text))
-    assert m.dtype == np.complex128
-    assert np.array_equal(m, np.array(expected, dtype=complex))
+def test_parse_accepts_float_grammar_and_any_whitespace(text, expected, tmp_path):
+    for source in _sources(text, tmp_path):
+        m = parse_matrix(source)
+        assert m.dtype == np.complex128
+        assert np.array_equal(m, np.array(expected, dtype=complex))
+
+
+@pytest.mark.parametrize("boundary", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+def test_line_boundaries_other_than_newline_split_lines(boundary, tmp_path):
+    """Every str.splitlines boundary ends a line, wherever it stands in a
+    written file, whether the file is read as a stream or from its path."""
+    for text, outcome in (
+        (f"2{boundary}2\n(1,0) (2,0)\n(3,0) (4,0)\n",
+         "header must be two integers, got '2' (line 1, column 1)"),
+        (f"2 2\n(1,0){boundary}(2,0)\n(3,0) (4,0)\n",
+         "expected 2 row lines, found 3 (line 4, column 1)"),
+        (f"2 2\n(1,0) (2,0)\n(3,0) (4,0){boundary}\n", [[1, 2], [3, 4]]),
+        (f"2 2\n(1,0) (2,0)\n(3,0) (4,0)\n{boundary}\n \n", [[1, 2], [3, 4]]),
+    ):
+        for source in _sources(text, tmp_path):
+            if isinstance(outcome, str):
+                with pytest.raises(MatrixFormatError) as excinfo:
+                    parse_matrix(source)
+                assert str(excinfo.value) == outcome
+            else:
+                assert parse_matrix(source).tobytes() == np.array(outcome, dtype=complex).tobytes()
 
 
 edge = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
@@ -163,16 +200,19 @@ def _parse_every_row(text):
     )
 
 
-def _assert_parses_as_every_row(text):
-    """parse_matrix gives the reference's bytes, or its message, line and column."""
+def _assert_parses_as_every_row(text, directory):
+    """parse_matrix gives the reference's bytes, or its message, line and
+    column, reading ``text`` as a stream and from a file in ``directory``."""
 
-    def outcome(parse):
+    def outcome(parse, source):
         try:
-            return parse(text).tobytes()
+            return parse(source).tobytes()
         except MatrixFormatError as exc:
             return str(exc), exc.line, exc.column
 
-    assert outcome(lambda t: parse_matrix(io.StringIO(t))) == outcome(_parse_every_row), text
+    expected = outcome(_parse_every_row, text)
+    for source in _sources(text, directory):
+        assert outcome(parse_matrix, source) == expected, (text, type(source).__name__)
 
 
 def _mutated_file(rows, mutations, newline="\n", tail=""):
@@ -220,12 +260,14 @@ EDGE_ROWS = [
 
 
 @pytest.mark.parametrize("newline,tail", [("\n", ""), ("\r\n", "\n\n \t\n")])
-def test_each_mutation_parses_as_every_row(newline, tail):
+def test_each_mutation_parses_as_every_row(newline, tail, tmp_path):
     for rows in (EDGE_ROWS, EDGE_ROWS[:1]):
-        _assert_parses_as_every_row(_mutated_file(rows, [], newline, tail))
+        _assert_parses_as_every_row(_mutated_file(rows, [], newline, tail), tmp_path)
         for mutation in MUTATIONS:
             for row in range(len(rows)):
-                _assert_parses_as_every_row(_mutated_file(rows, [(row, mutation)], newline, tail))
+                _assert_parses_as_every_row(
+                    _mutated_file(rows, [(row, mutation)], newline, tail), tmp_path
+                )
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,10 +283,12 @@ def test_each_mutation_parses_as_every_row(newline, tail):
     st.sampled_from(["\n", "\r\n"]),
     st.sampled_from(["", "\n", "\n  \n\t\n"]),
 )
-def test_parse_matches_the_row_by_row_reference(rows, mutations, newline, tail):
+def test_parse_matches_the_row_by_row_reference(tmp_path_factory, rows, mutations, newline, tail):
     """Both parse paths agree with ``_parse_row`` run on every line, for
     written files and any mix of mutations of them."""
-    _assert_parses_as_every_row(_mutated_file(rows, mutations, newline, tail))
+    _assert_parses_as_every_row(
+        _mutated_file(rows, mutations, newline, tail), tmp_path_factory.getbasetemp()
+    )
 
 
 def test_written_files_take_the_bulk_path(tmp_path, monkeypatch):
@@ -300,6 +344,60 @@ def test_format_matches_per_entry_reference(rows, layout):
     assert parse_matrix(io.StringIO(reference)).tobytes() == np.ascontiguousarray(m).tobytes()
 
 
+@pytest.mark.parametrize(
+    "data,byte,line,column",
+    [
+        (b"2 1\n(1,0)\n(\xff,0)\n", 0xFF, 3, 2),
+        (b"2\xff1\n(1,0)\n(2,0)\n", 0xFF, 1, 2),
+        (b"1 1\n(1,0)\n \n\xfe\n", 0xFE, 4, 1),
+        (b"1 1\r\n(1,0)\xc2\xa0\xff\n", 0xFF, 2, 7),  # columns count characters, not bytes
+        (b"1 1\n(1,0)\n\xc3", 0xC3, 3, 1),  # a character cut off at the end of the file
+    ],
+)
+def test_undecodable_bytes_are_format_errors(tmp_path, data, byte, line, column):
+    """A file that is not UTF-8 gets the line and column of its first bad byte."""
+    path = tmp_path / "bad.mat"
+    path.write_bytes(data)
+    with pytest.raises(MatrixFormatError) as excinfo:
+        parse_matrix(path)
+    assert str(excinfo.value) == (
+        f"byte 0x{byte:02x} is not valid UTF-8 (line {line}, column {column})"
+    )
+
+
+def test_undecodable_byte_met_inside_the_streamed_read(tmp_path):
+    """A bad byte in the last row of a written file many read buffers long
+    is met inside ``loadtxt``, and still reported with its position."""
+    written = format_matrix(gen_star_pair(60, 20, 20, Seed(3))[0]).encode("utf-8")
+    last_row = written.rindex(b"\n(") + 1
+    path = tmp_path / "bad.mat"
+    path.write_bytes(written[:last_row] + b"(\x80" + written[last_row + 1:])
+    with pytest.raises(MatrixFormatError) as excinfo:
+        parse_matrix(path)
+    assert str(excinfo.value) == "byte 0x80 is not valid UTF-8 (line 61, column 2)"
+
+
+def test_codec_memory_stays_near_the_array(tmp_path):
+    """Neither direction holds the whole text of an n = 200 file: a parse
+    peaks under twice the array's bytes, and a write under 64 KiB."""
+    m = SplitMix64(Seed(1)).complex_gaussian(200, 200)
+    path = tmp_path / "m.mat"
+    write_matrix(path, m)
+    assert path.stat().st_size > 2.5 * m.nbytes
+    tracemalloc.start()
+    try:
+        write_matrix(path, m)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = parse_matrix(path)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == m.tobytes()
+    assert parse_peak <= 2 * m.nbytes
+    assert write_peak <= 64 * 1024
+
+
 def test_written_files_are_byte_stable(tmp_path, pinned_env):
     """Pins the bytes ``gen``, ``pinv`` and ``solve system`` write for one
     n = 64 pair, so any change of the text codec or of the solution that
@@ -343,6 +441,28 @@ def test_pinv_command_malformed_input(tmp_path, capsys):
     assert run("pinv", "--in", str(bad), "--out", str(tmp_path / "x.mat")) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "column" in err
+
+
+@pytest.mark.parametrize("command", ["pinv", "solve system", "check star-order"])
+def test_undecodable_file_is_a_format_error(tmp_path, capsys, command):
+    """A matrix file that is not UTF-8 exits 2 with the bad byte's position,
+    with no traceback, as the first or the second operand."""
+    good, bad = tmp_path / "good.mat", tmp_path / "bad.mat"
+    write_matrix(good, np.eye(2, 1))
+    bad.write_bytes(b"2 1\n(1,0)\n(\xff,0)\n")
+    out = ["--out", str(tmp_path / "x.mat")]
+    pairs = [["--a", str(bad), "--b", str(good)], ["--a", str(good), "--b", str(bad)]]
+    argvs = {
+        "pinv": [["--in", str(bad), *out]],
+        "solve system": [[*pair, *out] for pair in pairs],
+        "check star-order": pairs,
+    }[command]
+    for argv in argvs:
+        assert run(*command.split(), *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: byte 0xff is not valid UTF-8 (line 3, column 2)\n"
+        )
+    assert not (tmp_path / "x.mat").exists()
 
 
 def test_check_solvable_non_square_b_is_an_error(tmp_path, capsys):
@@ -468,6 +588,55 @@ def test_solve_system_factors_only_a(tmp_path, svd_calls):
     svd_calls.clear()
     assert cli.main([*base, "--t", str(paths["t"])]) == 0
     assert len(svd_calls) == 1
+
+
+def test_solve_system_factors_a_off_the_main_thread(tmp_path, monkeypatch):
+    """a's one SVD runs on a worker thread, which has ended when main returns."""
+    threads = []
+    real_svd = np.linalg.svd
+
+    def svd(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "x")}
+    for name, m in zip("ab", gen_star_pair(6, 2, 2, Seed(9))):
+        write_matrix(paths[name], m)
+    before = threading.active_count()
+    assert run("solve", "system", "--a", str(paths["a"]), "--b", str(paths["b"]),
+               "--out", str(paths["x"])) == 0
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    assert not threads[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_solve_system_worker_failure_raises_where_it_did(tmp_path, capsys, monkeypatch):
+    """When a's SVD fails on the worker, every error is still the one the
+    serial order gives: b's format first, then the shapes, then the SVD; and
+    no thread is left running."""
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    paths = {name: tmp_path / f"{name}.mat" for name in ("a", "b", "a3", "b2", "bad", "x")}
+    for name, m in (*zip("ab", gen_star_pair(4, 2, 1, Seed(4))), ("a3", np.eye(3)),
+                    ("b2", np.eye(2))):
+        write_matrix(paths[name], m)
+    paths["bad"].write_text("2 2\n(1,0) (0,0)\n(0,0) oops\n")
+    for a, b, code, message in (
+        ("a3", "b2", 1, "error: expected square matrices of one common dimension, "
+                        "got (3, 3) and (2, 2)\n"),
+        ("a", "b", 3, "error: SVD did not converge for a 4x4 matrix\n"),
+        ("a", "bad", 2, "error: bad entry 'oops', expected '(re,im)' (line 3, column 7)\n"),
+    ):
+        before = threading.active_count()
+        assert run("solve", "system", "--a", str(paths[a]), "--b", str(paths[b]),
+                   "--out", str(paths["x"])) == code
+        assert capsys.readouterr().err == message
+        assert threading.active_count() == before
+    assert not paths["x"].exists()
 
 
 def test_solve_unsolvable_exits_one(tmp_path, capsys):
