@@ -49,9 +49,8 @@ def _require_range_in(p: np.ndarray, proj: np.ndarray, p_name: str, b_name: str)
         raise PreconditionError(
             f"row dimensions differ: {p_name} has {p.shape[0]}, {b_name} has {proj.shape[0]}"
         )
-    gap = eq_residual(proj @ p, p)
-    if not DEFAULT_TOL.holds(gap):
-        raise PreconditionError(f"range({p_name}) is not inside range({b_name}) (residual {gap:.3e})")
+    DEFAULT_TOL.require(f"range({p_name}) must lie inside range({b_name})",
+                        eq_residual(proj @ p, p))
 
 
 def _split_certificates(b: np.ndarray, x: np.ndarray) -> tuple[Check, ...]:
@@ -131,9 +130,7 @@ def deng_decompose(a, c_idempotent) -> SolutionFamily:
     that c is not below a in the star order.
     """
     am, cm, n = square_pair(a, c_idempotent)
-    defect = idempotent_defect(cm)
-    if not DEFAULT_TOL.holds(defect):
-        raise PreconditionError(f"c is not idempotent (defect {defect:.3e})")
+    DEFAULT_TOL.require("deng_decompose requires c idempotent", idempotent_defect(cm))
     outer = np.eye(n, dtype=np.complex128) - adj(cm)
     rest = am - cm
     crit = eq_residual(cm + outer @ rest @ outer, am)
@@ -169,12 +166,15 @@ def gp_check(a) -> Report:
     return Report(suite="gp-check", trial=0, checks=checks)
 
 
+def _require_gp(m, what: str) -> None:
+    DEFAULT_TOL.require(what, *(c.residual for c in gp_check(m).checks))
+
+
 def gp_decompose(a, b_gp) -> np.ndarray:
     """Witness X with a = b + (I - b b*) X (I - b* b) for a generalized
     projection b with b <=* a.  X = a itself is such a witness."""
     am, bm, _ = square_pair(a, b_gp)
-    if not gp_check(bm).verdict:
-        raise PreconditionError("b is not a generalized projection")
+    _require_gp(bm, "gp_decompose requires b to be a generalized projection")
     require_star_leq(bm, am, "gp_decompose requires b <=* a")
     return am.copy()
 
@@ -187,8 +187,7 @@ def meet_split(a_gp, b) -> tuple[np.ndarray, Report]:
     carries the absorption identities a b = b a = a* b = b a* = b.
     """
     am, bm, _ = square_pair(a_gp, b)
-    if not gp_check(am).verdict:
-        raise PreconditionError("a is not a generalized projection")
+    _require_gp(am, "meet_split requires a to be a generalized projection")
     require_star_leq(bm, am, "meet_split requires b <=* a")
     require_star_leq(bm, adj(am), "meet_split requires b <=* a*")
     x = am @ adj(am) - bm
@@ -209,9 +208,7 @@ def idempotent_split(a_idem, b) -> tuple[np.ndarray, Report]:
     agreement flag records that the two sides matched either way.
     """
     am, bm, _ = square_pair(a_idem, b)
-    defect = idempotent_defect(am)
-    if not DEFAULT_TOL.holds(defect):
-        raise PreconditionError(f"a is not idempotent (defect {defect:.3e})")
+    DEFAULT_TOL.require("idempotent_split requires a idempotent", idempotent_defect(am))
     x = am - bm
     certs = _split_certificates(bm, x)
     certs_hold = all(c.passed for c in certs)
@@ -231,8 +228,7 @@ def common_lower_bound(a, c_gp, b) -> Report:
     """
     am, cm, _ = square_pair(a, c_gp)
     _, bm, _ = square_pair(am, b)
-    if not gp_check(c_gp).verdict:
-        raise PreconditionError("c is not a generalized projection")
+    _require_gp(c_gp, "common_lower_bound requires c to be a generalized projection")
     cc = cm @ adj(cm)
     below_a = star_leq(bm, am)
     below_cc = star_leq(bm, cc)

@@ -6,7 +6,8 @@ line per row of whitespace-separated ``(re,im)`` tokens.  Floats are written
 with 17 significant digits, so write-then-read round-trips bit exactly.
 Written files are streamed in and out line by line; any other file is read
 row by row, which locates the first malformed entry.  ``solve system`` factors
-a on a worker thread while it reads b.
+a on a worker thread while it reads b.  ``verify`` runs whole suites in forked
+processes on the CPUs the BLAS leaves free, and prints their lines in suite order.
 
 Exit codes are the machine contract:
     0  success / predicate holds
@@ -20,8 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import marshal
 import math
+import os
 import re
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -377,20 +381,76 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_count(suites: int, cpus: int, env) -> int:
+    """Processes for ``verify``: the CPUs the BLAS threads leave free, counted
+    as OpenBLAS counts them; unset or unparsable, it runs one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = env.get(var, "").strip()
+        if threads.isascii() and threads.isdigit() and int(threads) > 0:
+            return min(suites, cpus // int(threads)) or 1
+    return 1
+
+
+def _run_suites(names, args, workers: int) -> list[tuple[str, bool]]:
+    """(line, verdict) per trial in suite order.  Workers claim suite indices from one
+    pipe; forked ones send pairs back on their own.  All are reaped before a raise."""
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(names))))
+    os.close(fill)
+
+    def claim() -> dict[int, list[tuple[str, bool]]]:
+        done = {}
+        while index := os.read(claims, 1):
+            reps = run_suite(names[index[0]], args.trials, args.dims, args.seed)
+            done[index[0]] = [(to_line(rep), rep.verdict) for rep in reps]
+        return done
+
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for _ in range(workers - 1):
+            result, send = os.pipe()
+            if (pid := os.fork()) == 0:  # a child never prints and never returns
+                try:
+                    os.write(send, marshal.dumps(claim()))  # a short write fails to load
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(send)
+            children[pid] = open(result, "rb")
+        done = claim()
+        for received in children.values():
+            done.update(marshal.loads(received.read()))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for received in children.values():
+            received.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    if any(statuses):
+        raise ChildProcessError(f"suite workers exited with statuses {statuses}")
+    return [pair for i in range(len(names)) for pair in done[i]]  # KeyError if short
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    lines = []
-    all_pass = True
-    for name in names:
-        for rep in run_suite(name, args.trials, args.dims, args.seed):
-            lines.append(to_line(rep))
-            all_pass = all_pass and rep.verdict
-    stream = "\n".join(lines) + "\n"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _worker_count(len(names), cpus, os.environ)
+    try:
+        pairs = _run_suites(names, args, workers)
+    except Exception:
+        if workers == 1:
+            raise
+        pairs = _run_suites(names, args, 1)  # one process raises the first error in order
+    all_pass = all(verdict for _, verdict in pairs)
+    stream = "".join(line + "\n" for line, _ in pairs)
     sys.stdout.write(stream)
     if args.report is not None:
         Path(args.report).write_text(stream, encoding="utf-8")
     print(
-        f"{len(names)} suite(s), {len(lines)} trial reports, "
+        f"{len(names)} suite(s), {len(pairs)} trial reports, "
         f"{'all passed' if all_pass else 'FAILURES present'}",
         file=sys.stderr,
     )

@@ -49,6 +49,12 @@ class Tol:
         holds, a NaN fails)."""
         return all(r <= self.res_rtol for r in residuals)
 
+    def require(self, what: str, *residuals: float) -> None:
+        """Raise PreconditionError unless the residuals hold; ``what`` is "<op> requires <x>"."""
+        if not self.holds(*residuals):
+            worst = max(residuals)
+            raise PreconditionError(f"{what}; residual {worst:.3e} (res_rtol {self.res_rtol:g})")
+
 
 DEFAULT_TOL = Tol()
 
@@ -252,13 +258,8 @@ def require_projector(p, name: str) -> np.ndarray:
     """``p`` as a matrix; raises PreconditionError unless it is a square
     orthogonal projector, naming it."""
     pm = square(p, name)
-    h = hermitian_defect(pm)
-    q = idempotent_defect(pm)
-    if not DEFAULT_TOL.holds(h, q):
-        raise PreconditionError(
-            f"{name} is not an orthogonal projector "
-            f"(hermitian defect {h:.3e}, idempotent defect {q:.3e})"
-        )
+    DEFAULT_TOL.require(f"{name} must be an orthogonal projector", hermitian_defect(pm),
+                        idempotent_defect(pm))
     return pm
 
 

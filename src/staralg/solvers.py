@@ -141,9 +141,7 @@ def system_solvable(a, b_selfadjoint) -> bool:
     range(b) <= range(a) and range(b) <= range(a*).
     """
     am, bm, _ = square_pair(a, b_selfadjoint)
-    h = hermitian_defect(bm)
-    if not DEFAULT_TOL.holds(h):
-        raise PreconditionError(f"b must be self-adjoint (defect {h:.3e})")
+    DEFAULT_TOL.require("system_solvable requires b self-adjoint", hermitian_defect(bm))
     return DEFAULT_TOL.holds(system_criterion_residual(a, bm))
 
 
@@ -225,11 +223,8 @@ def reduce_system(a, b, x_big) -> np.ndarray:
     b X a = b = a X b.
     """
     am, bm, _, xm = square_pair(a, b, x_big=x_big)
-    r_bxa, r_axb = system_residuals(am, bm, xm)
-    if not DEFAULT_TOL.holds(r_bxa, r_axb):
-        raise PreconditionError(
-            f"x_big does not solve the system (residuals {r_bxa:.3e}, {r_axb:.3e})"
-        )
+    DEFAULT_TOL.require("reduce_system requires x_big to solve the system",
+                        *system_residuals(am, bm, xm))
     ap = factor(a).pinv
     return ap @ am @ xm @ am @ ap
 
@@ -261,9 +256,7 @@ def hermitian_system_solve(a, b, c, d, w_hermitian) -> np.ndarray:
                 f"(residual {res:.3e} > res_rtol {DEFAULT_TOL.res_rtol:g})",
                 residual=res,
             )
-    hw = hermitian_defect(wm)
-    if not DEFAULT_TOL.holds(hw):
-        raise PreconditionError(f"w must be hermitian (defect {hw:.3e})")
+    DEFAULT_TOL.require("hermitian_system_solve requires w hermitian", hermitian_defect(wm))
 
     eye = np.eye(n, dtype=np.complex128)
     ker = eye - ap @ am                # I - a+ a

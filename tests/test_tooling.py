@@ -275,6 +275,39 @@ def test_no_unit_clamp_and_no_errstate():
     assert _clamps_and_errstates(ast.parse("max(1.0, n)\nnp.errstate(over='ignore')"))
 
 
+_CONCURRENCY_MODULES = {"threading", "multiprocessing", "concurrent"}
+
+
+def _concurrency(tree: ast.AST) -> list[int]:
+    """Lines that import a thread or process module, or reach ``os.fork``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(n.split(".")[0] in _CONCURRENCY_MODULES or n == "os.fork" for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_cli_starts_threads_or_processes():
+    """The library modules stay pure functions of their inputs: only cli.py,
+    which overlaps a factorization with a file read and forks verify's
+    workers, imports threading, multiprocessing or concurrent, or forks."""
+    found = [f"{name}:{line}" for name, tree in _trees(SRC).items() if name != "cli.py"
+             for line in _concurrency(tree)]
+    assert found == [], found
+    assert _concurrency(_trees(SRC)["cli.py"])
+    for snippet in ("import threading", "import multiprocessing.pool", "from concurrent import futures",
+                    "from os import fork", "os.fork()", "pid = os.fork"):
+        assert _concurrency(ast.parse(snippet)), snippet
+
+
 def test_one_acceptance_test():
     """``res_rtol`` is compared only in matcore (``Tol.holds``), as
     ``rank_rtol`` enters arithmetic only there."""

@@ -2,6 +2,8 @@
 PreconditionError, and extreme magnitudes get the right answer or an error,
 never a NaN residual."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,27 @@ from staralg import (
     PreconditionError,
     Seed,
     UnsolvableError,
+    common_lower_bound,
+    deng_decompose,
     douglas_solve,
     factor,
     gen_gp,
     gen_idempotent,
     gen_rank_r,
     gen_star_pair,
+    gp_decompose,
     hermitian_defect,
+    hermitian_system_solve,
     idempotent_defect,
+    idempotent_split,
     lsq_oracle,
     meet_projector,
     meet_split,
+    pbq_char,
     pinv,
     projector_char,
     prop_main_check,
+    reduce_system,
     rel_residual,
     star_leq,
     star_residuals,
@@ -94,7 +103,8 @@ def test_non_square_operands_are_precondition_errors(call):
         (lambda: sandwich_solve(np.eye(2), np.eye(3), np.eye(2)), "c must be 2x2"),
         (lambda: meet_projector(np.eye(2), np.eye(3)), "projector shapes differ"),
         (lambda: projector_char(np.eye(2), np.eye(2), "up"), "side must be 'left' or 'right'"),
-        (lambda: meet_split(2.0 * np.eye(2), np.eye(2)), "a is not a generalized projection"),
+        (lambda: meet_split(2.0 * np.eye(2), np.eye(2)),
+         r"^meet_split requires a to be a generalized projection; residual 7\.778e-01 \(res_rtol 1e-08\)$"),
         (lambda: gen_rank_r(0, 3, 0, Seed(1)), "dimensions must be >= 1"),
         (lambda: gen_star_pair(0, 0, 0, Seed(1)), "n must be >= 1"),
         (lambda: gen_gp(0, (0, 0, 0), Seed(1)), "n must be >= 1"),
@@ -106,6 +116,42 @@ def test_non_square_operands_are_precondition_errors(call):
 )
 def test_argument_rules_are_precondition_errors(call, message):
     with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+NOT_GP = 2.0 * np.eye(2)  # a a = 4 I against a* = 2 I
+NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, requirement",
+    [
+        (lambda: system_solvable(np.eye(2), NOT_HERMITIAN), "system_solvable requires b self-adjoint"),
+        (lambda: deng_decompose(np.eye(2), NOT_GP), "deng_decompose requires c idempotent"),
+        (lambda: idempotent_split(NOT_GP, np.eye(2)), "idempotent_split requires a idempotent"),
+        (lambda: gp_decompose(np.eye(2), NOT_GP),
+         "gp_decompose requires b to be a generalized projection"),
+        (lambda: meet_split(NOT_GP, np.eye(2)), "meet_split requires a to be a generalized projection"),
+        (lambda: common_lower_bound(np.eye(2), NOT_GP, np.eye(2)),
+         "common_lower_bound requires c to be a generalized projection"),
+        (lambda: reduce_system(np.eye(2), np.eye(2), np.zeros((2, 2))),
+         "reduce_system requires x_big to solve the system"),
+        (lambda: hermitian_system_solve(*[np.eye(2)] * 4, NOT_HERMITIAN),
+         "hermitian_system_solve requires w hermitian"),
+        # the projector checks name the operand, not yet the operation
+        (lambda: projector_char(NOT_GP, np.eye(2), "left"), "p must be an orthogonal projector"),
+        (lambda: pbq_char(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+         "range(q) must lie inside range(b*)"),
+    ],
+    ids=["system_solvable", "deng_decompose", "idempotent_split", "gp_decompose", "meet_split",
+         "common_lower_bound", "reduce_system", "hermitian_system_solve", "projector_char", "pbq_char"],
+)
+def test_precondition_errors_name_operation_residual_and_threshold(call, requirement):
+    """Each message reads as require_star_leq's: the operation and what it
+    requires, then the residual (for a generalized projection, the worst of
+    gp_check's) against res_rtol."""
+    form = rf"^{re.escape(requirement)}; residual [1-9]\.[0-9]{{3}}e[+-][0-9]{{2}} \(res_rtol 1e-08\)$"
+    with pytest.raises(PreconditionError, match=form):
         call()
 
 
