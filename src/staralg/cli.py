@@ -4,10 +4,12 @@ commands, instance generators, and the claim-suite runner.
 Matrix files are plain text: a ``rows cols`` header line followed by one
 line per row of whitespace-separated ``(re,im)`` tokens.  Floats are written
 with 17 significant digits, so write-then-read round-trips bit exactly.
-Written files are streamed in and out line by line; any other file is read
+Written files are streamed in and out line by line, a large one in row ranges
+across forked helpers on the CPUs the BLAS leaves free; any other file is read
 row by row, which locates the first malformed entry.  ``solve system`` factors
-a on a worker thread while it reads b.  ``verify`` runs whole suites in forked
-processes on the CPUs the BLAS leaves free, and prints their lines in suite order.
+a on a worker thread while it reads b, and nothing forks while a thread runs.
+``verify`` runs whole suites in forked processes on the same CPUs, and prints
+their lines in suite order.
 
 Exit codes are the machine contract:
     0  success / predicate holds
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import marshal
 import math
 import os
 import re
+import shutil
 import signal
 import sys
 import threading
@@ -51,12 +55,15 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["parse_matrix", "format_matrix", "write_matrix", "main"]
 
 _TOKEN = re.compile(r"\(([^\s(),]+),([^\s(),]+)\)")
-# the lines format_matrix writes: ASCII number characters, blank-separated
-# tokens, and no line boundary of str.splitlines but the final "\n"
-_HEADER = re.compile(r"([1-9][0-9]*) ([1-9][0-9]*)\n")
-_PLAIN = r"\([0-9eE.+-]+,[0-9eE.+-]+\)"
-_PLAIN_ROW = re.compile(rf"[ \t]*{_PLAIN}(?:[ \t]+{_PLAIN})*[ \t]*\n?")
-_UNWRAP = str.maketrans("(),", "   ")
+# the lines format_matrix writes, as bytes: ASCII number characters, blank-separated
+# tokens, and no line boundary of universal newlines but a final "\n" or "\r\n"
+_HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\r?\n")
+_PLAIN = rb"\([0-9eE.+-]+,[0-9eE.+-]+\)"
+_PLAIN_ROW = re.compile(rb"[ \t]*%s(?:[ \t]+%s)*[ \t]*\r?\n?" % (_PLAIN, _PLAIN))
+_UNWRAP = bytes.maketrans(b"(),", b"   ")
+# a matrix of at least this many entries (n = 182, a file of about 1.5 MB) is read
+# and written in row ranges across forked helpers, where CPUs are free
+_SPLIT_ENTRIES = 1 << 15
 
 
 class _NotWritten(ValueError):
@@ -96,33 +103,62 @@ def _parse_row(line: str, line_no: int, cols: int) -> list[complex]:
     return [_parse_token(tok.group(0), line_no, tok.start() + 1) for tok in tokens]
 
 
-def _parse_written(lines) -> np.ndarray:
-    """Stream text as format_matrix writes it into one ``loadtxt``, kept if it
-    has ``cols`` finite entries per row; any departure, undecodable bytes
-    included, raises a ValueError."""
-    header = _HEADER.fullmatch(lines.readline())
-    if header is None:
-        raise _NotWritten
-    rows, cols = int(header[1]), int(header[2])
+def _read_rows(fh, start, end, cols) -> np.ndarray:
+    """Rows from byte ``start`` to ``end`` (None: the file's end) through one ``loadtxt``,
+    as re, im, re, im, ...; a range starts with a row, and only the last may end
+    in blank lines.  Any departure raises a ValueError."""
+    fh.seek(start)
 
     def unwrapped():
-        for _ in range(rows):
-            line = lines.readline()
-            if not _PLAIN_ROW.fullmatch(line):
-                raise _NotWritten
+        line = fh.readline()
+        if not _PLAIN_ROW.fullmatch(line):
+            raise _NotWritten
+        while _PLAIN_ROW.fullmatch(line):
             yield line.translate(_UNWRAP)
-        if any(line.strip() for line in lines):  # only blank lines may follow
+            line = fh.readline() if end is None or fh.tell() < end else b""
+        if line and (end is not None or line.strip() or any(rest.strip() for rest in fh)):
             raise _NotWritten
 
     parts = np.loadtxt(unwrapped(), comments=None, ndmin=2)
-    # row i holds re, im, re, im, ... of row i of the matrix
-    if parts.shape != (rows, 2 * cols) or not np.isfinite(parts).all():
+    if parts.shape[1] != 2 * cols or not np.isfinite(parts).all():
         raise _NotWritten
+    return parts
+
+
+def _parse_written(fh, path) -> np.ndarray:
+    """Read a binary file laid out as format_matrix writes it; forked helpers read
+    all but the first row range of a large file that ``path`` names.  Any
+    departure in any range raises a ValueError or a ChildProcessError."""
+    size = os.fstat(fh.fileno()).st_size if path else 0
+    header = _HEADER.fullmatch(fh.readline())
+    if header is None:
+        raise _NotWritten
+    rows, cols = int(header[1]), int(header[2])
+    workers = _workers(rows) if path and rows * cols >= _SPLIT_ENTRIES else 1
+    start = fh.tell()  # the ranges start after a "\n" near i / workers of the file
+    cuts = {fh.seek(size * i // workers) + len(fh.readline()) for i in range(1, workers)}
+    bounds = [start, *sorted(cut for cut in cuts if start < cut < size), None]
+
+    def rows_in(lo, hi):  # opened anew: an inherited file shares the parent's offset
+        with open(path, "rb") as own:
+            return _read_rows(own, lo, hi, cols)
+
+    ranges = zip(bounds[1:], bounds[2:])
+    with _forked([functools.partial(rows_in, lo, hi) for lo, hi in ranges]) as pipes:
+        parts = _read_rows(fh, start, bounds[1], cols)
+        done, sizes = parts.nbytes, [_length(pipe) for pipe in pipes]
+        if done + sum(sizes) != 16 * rows * cols:
+            raise _NotWritten
+        parts.resize((rows, 2 * cols), refcheck=False)  # no view of it exists yet
+        into = memoryview(parts).cast("B")
+        for pipe, n in zip(pipes, sizes):  # each helper's rows straight into place
+            if pipe.readinto(into[done:done + n]) != n:
+                raise _NotWritten
+            done += n
     return parts.view(np.complex128)
 
 
-def _read_utf8(path) -> str:
-    data = Path(path).read_bytes()
+def _utf8(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -138,18 +174,26 @@ def parse_matrix(source) -> np.ndarray:
     Raises MatrixFormatError with 1-based line and column positions on any
     deviation from the format, bytes that are not UTF-8 included.  A file
     laid out as ``format_matrix`` writes it is streamed line by line into one
-    bulk conversion, so no copy of its whole text is held (a stream source is
-    read whole first).  Any other text is read again as a whole and parsed
-    token by token, in order, so that the first bad entry in reading order is
-    the one reported.  Both paths read every number with CPython's correctly
-    rounded ``PyOS_string_to_double``, so they agree bit for bit.
+    bulk conversion per row range, so no copy of its whole text is held; a
+    large regular file's ranges after the first are read by forked helpers.
+    A stream or a pipe is read whole first, and never split.  Any other text
+    is read again as a whole and parsed token by token, in order, so that the
+    first bad entry in reading order is the one reported.  Both paths read
+    every number with CPython's correctly rounded ``PyOS_string_to_double``,
+    so they agree bit for bit.
     """
     text = source.read() if hasattr(source, "read") else None
-    stream = open(source, encoding="utf-8") if text is None else io.StringIO(text, newline=None)
-    with stream, contextlib.suppress(ValueError):  # any departure: read the text exactly
-        return _parse_written(stream)
-    lines = (_read_utf8(source) if text is None else text).splitlines()
-    del text  # the split lines are the only copy kept
+    raw = open(source, "rb") if text is None else io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    with raw:
+        data = None if raw.seekable() else raw.read()  # a pipe can be read only once
+        # any departure: read the text exactly
+        with contextlib.suppress(ValueError, ChildProcessError):
+            split = text is None and data is None and source
+            return _parse_written(raw if data is None else io.BytesIO(data), split)
+    if text is None:
+        text = _utf8(Path(source).read_bytes() if data is None else data)
+    lines = text.splitlines()
+    del text, data  # the split lines are the only copy kept
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing 'rows cols' header", line=1, column=1)
     try:
@@ -178,9 +222,8 @@ def parse_matrix(source) -> np.ndarray:
     )
 
 
-def _format_lines(mat: np.ndarray):
+def _format_rows(mat: np.ndarray):
     row_format = " ".join(["(%.17g,%.17g)"] * mat.shape[1]) + "\n"
-    yield f"{mat.shape[0]} {mat.shape[1]}\n"
     for row in mat:
         # re, im, re, im, ... of one row; the copy only happens for strided rows
         yield row_format % tuple(np.ascontiguousarray(row).view(np.float64).tolist())
@@ -188,14 +231,33 @@ def _format_lines(mat: np.ndarray):
 
 def format_matrix(m) -> str:
     """Serialize a matrix; floats carry 17 significant digits for round-trips."""
-    return "".join(_format_lines(as_cmat(m)))
+    mat = as_cmat(m)
+    return "".join([f"{mat.shape[0]} {mat.shape[1]}\n", *_format_rows(mat)])
+
+
+def _write_rows(path, mat: np.ndarray, workers: int) -> None:
+    cuts = [len(mat) * i // workers for i in range(workers + 1)]
+    jobs = [lambda rows=mat[lo:hi]: "".join(_format_rows(rows)).encode()
+            for lo, hi in zip(cuts[1:], cuts[2:])]
+    with open(path, "w", encoding="utf-8") as fh, _forked(jobs) as pipes:
+        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
+        fh.writelines(_format_rows(mat[:cuts[1]]))
+        fh.flush()
+        for pipe in pipes:
+            end = _length(pipe) + fh.buffer.tell()
+            shutil.copyfileobj(pipe, fh.buffer, 1 << 14)  # a bounded buffer
+            if fh.buffer.tell() != end:
+                raise ChildProcessError("a helper sent other than the bytes it announced")
 
 
 def write_matrix(path, m) -> None:
-    """Write ``format_matrix(m)`` line by line; a bad m raises before the file opens."""
+    """Write ``format_matrix(m)`` line by line; a bad m raises before the file opens.
+    Forked helpers format all but the first row range of a large m."""
     mat = as_cmat(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_format_lines(mat))
+    try:
+        _write_rows(path, mat, _workers(len(mat)) if mat.size >= _SPLIT_ENTRIES else 1)
+    except ChildProcessError:  # a helper failed: write it all again, here
+        _write_rows(path, mat, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,19 +443,65 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count(suites: int, cpus: int, env) -> int:
-    """Processes for ``verify``: the CPUs the BLAS threads leave free, counted
-    as OpenBLAS counts them; unset or unparsable, it runs one per CPU."""
+def _worker_count(tasks: int, cpus: int, env) -> int:
+    """Processes for ``tasks`` independent tasks: the CPUs the BLAS threads leave
+    free, counted as OpenBLAS counts them.  With neither variable a positive
+    integer, the BLAS runs one thread per CPU, so this gives one process."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         threads = env.get(var, "").strip()
         if threads.isascii() and threads.isdigit() and int(threads) > 0:
-            return min(suites, cpus // int(threads)) or 1
+            return min(tasks, cpus // int(threads)) or 1
     return 1
+
+
+def _workers(tasks: int) -> int:
+    """``_worker_count`` on this machine; one while another thread is alive,
+    since nothing forks then, and one without ``sched_getaffinity``."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return _worker_count(tasks, len(os.sched_getaffinity(0)), os.environ)
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Fork a child per job, which sends the job's bytes-like result, after its
+    8-byte length, on a pipe of its own; yield the pipes in job order.  Every child
+    is reaped on the way out, killed first on a raise, and must have exited 0."""
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for job in jobs:
+            result, send = os.pipe()
+            if (pid := os.fork()) == 0:  # a child never prints and never returns
+                try:
+                    payload = memoryview(job()).cast("B")
+                    with open(send, "wb") as out:
+                        out.writelines([len(payload).to_bytes(8, "little"), payload])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(send)
+            children[pid] = open(result, "rb")
+        yield list(children.values())
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in children.values():
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    if any(statuses):
+        raise ChildProcessError(f"forked helpers exited with statuses {statuses}")
+
+
+def _length(pipe) -> int:
+    """The byte count a forked child announced; 0 if it sent nothing."""
+    return int.from_bytes(pipe.read(8), "little")
 
 
 def _run_suites(names, args, workers: int) -> list[tuple[str, bool]]:
     """(line, verdict) per trial in suite order.  Workers claim suite indices from one
-    pipe; forked ones send pairs back on their own.  All are reaped before a raise."""
+    pipe; forked ones send pairs back on their own."""
     claims, fill = os.pipe()
     os.write(fill, bytes(range(len(names))))
     os.close(fill)
@@ -405,39 +513,19 @@ def _run_suites(names, args, workers: int) -> list[tuple[str, bool]]:
             done[index[0]] = [(to_line(rep), rep.verdict) for rep in reps]
         return done
 
-    children = {}  # pid -> the read end of its pipe
     try:
-        for _ in range(workers - 1):
-            result, send = os.pipe()
-            if (pid := os.fork()) == 0:  # a child never prints and never returns
-                try:
-                    os.write(send, marshal.dumps(claim()))  # a short write fails to load
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(send)
-            children[pid] = open(result, "rb")
-        done = claim()
-        for received in children.values():
-            done.update(marshal.loads(received.read()))
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        with _forked([lambda: marshal.dumps(claim())] * (workers - 1)) as pipes:
+            done = claim()
+            for pipe in pipes:
+                done.update(marshal.loads(pipe.read(_length(pipe))))  # a short one fails to load
     finally:
         os.close(claims)
-        for received in children.values():
-            received.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    if any(statuses):
-        raise ChildProcessError(f"suite workers exited with statuses {statuses}")
     return [pair for i in range(len(names)) for pair in done[i]]  # KeyError if short
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = _worker_count(len(names), cpus, os.environ)
+    workers = _workers(len(names))
     try:
         pairs = _run_suites(names, args, workers)
     except Exception:

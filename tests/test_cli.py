@@ -1,13 +1,16 @@
 """Matrix file format and command dispatch tests (in-process)."""
 
+import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +57,22 @@ def test_parse_identity():
 def test_parse_column():
     m = parse_matrix(io.StringIO("2 1\n(0,1)\n(0,-1)"))
     assert np.array_equal(m, np.array([[1j], [-1j]]))
+
+
+@contextlib.contextmanager
+def split_across(workers):
+    """The codec at ``workers`` processes for any matrix of as many rows: the
+    split threshold at 0, ``workers`` CPUs and one BLAS thread."""
+    cpus = set(range(workers))
+    with mock.patch.object(cli, "_SPLIT_ENTRIES", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True), \
+            mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
+        yield
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _sources(text, directory):
@@ -202,7 +221,8 @@ def _parse_every_row(text):
 
 def _assert_parses_as_every_row(text, directory):
     """parse_matrix gives the reference's bytes, or its message, line and
-    column, reading ``text`` as a stream and from a file in ``directory``."""
+    column, reading ``text`` as a stream and from a file in ``directory``,
+    the file in one process and cut into row ranges across two and three."""
 
     def outcome(parse, source):
         try:
@@ -211,8 +231,12 @@ def _assert_parses_as_every_row(text, directory):
             return str(exc), exc.line, exc.column
 
     expected = outcome(_parse_every_row, text)
-    for source in _sources(text, directory):
-        assert outcome(parse_matrix, source) == expected, (text, type(source).__name__)
+    stream, path = _sources(text, directory)
+    assert outcome(parse_matrix, stream) == expected, (text, "stream")
+    for workers in (1, 2, 3):  # a file of r rows is cut into min(r, workers) ranges
+        with split_across(workers):
+            assert outcome(parse_matrix, path) == expected, (text, workers)
+    _assert_no_child_left()
 
 
 def _mutated_file(rows, mutations, newline="\n", tail=""):
@@ -377,25 +401,91 @@ def test_undecodable_byte_met_inside_the_streamed_read(tmp_path):
     assert str(excinfo.value) == "byte 0x80 is not valid UTF-8 (line 61, column 2)"
 
 
-def test_codec_memory_stays_near_the_array(tmp_path):
+def test_codec_memory_stays_near_the_array(tmp_path, monkeypatch):
     """Neither direction holds the whole text of an n = 200 file: a parse
-    peaks under twice the array's bytes, and a write under 64 KiB."""
+    peaks under twice the array's bytes, and a write under 64 KiB, in one
+    process and when a forked helper takes a row range each way."""
     m = SplitMix64(Seed(1)).complex_gaussian(200, 200)
+    assert m.size >= cli._SPLIT_ENTRIES
     path = tmp_path / "m.mat"
     write_matrix(path, m)
     assert path.stat().st_size > 2.5 * m.nbytes
-    tracemalloc.start()
-    try:
-        write_matrix(path, m)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = parse_matrix(path)
-        parse_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.tobytes() == m.tobytes()
-    assert parse_peak <= 2 * m.nbytes
-    assert write_peak <= 64 * 1024
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for workers in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        forks.clear()
+        tracemalloc.start()
+        try:
+            write_matrix(path, m)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = parse_matrix(path)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == m.tobytes()
+        assert parse_peak <= 2 * m.nbytes
+        assert write_peak <= 64 * 1024
+        assert len(forks) == 2 * (workers - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "data, outcome",
+    [
+        (b"1 2\n(1,0)\xc2\xa0(2,0)\n", [[1, 2]]),  # an NBSP: read again as a whole
+        (b"2 1\n(1,0)\n(2,0)\n", [[1], [2]]),
+        (b"1 1\n(1,0) (2,0)\n", "expected 1 entries, found 2 (line 2, column 7)"),
+        (b"1 1\n(1,0)\xc2\xa0\xff\n", "byte 0xff is not valid UTF-8 (line 2, column 7)"),
+    ],
+)
+def test_a_pipe_is_read_once(tmp_path, capsys, data, outcome):
+    """A path that cannot be read twice is read whole once, as a stream is, and
+    parsed by the same two paths, at any worker count and never split."""
+    valid = isinstance(outcome, list)
+    with split_across(2):
+        for run_pinv in (False, True):
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            try:
+                if run_pinv:
+                    code = run("pinv", "--in", path, "--out", str(tmp_path / "p.mat"))
+                    err = capsys.readouterr().err
+                    assert (code, err) == ((0, "") if valid else (2, f"error: {outcome}\n"))
+                elif valid:
+                    expected = np.array(outcome, dtype=complex)
+                    assert parse_matrix(path).tobytes() == expected.tobytes()
+                else:
+                    with pytest.raises(MatrixFormatError, match=re.escape(outcome)):
+                        parse_matrix(path)
+            finally:
+                os.close(read_end)
+    _assert_no_child_left()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.tuples(finite | edge, finite | edge), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=9,
+        )
+    ),
+    st.sampled_from(sorted(LAYOUTS)),
+)
+def test_written_bytes_do_not_depend_on_the_worker_count(tmp_path_factory, rows, layout):
+    m = LAYOUTS[layout](np.array([[complex(re, im) for re, im in row] for row in rows]))
+    path = tmp_path_factory.getbasetemp() / "split.mat"
+    for workers in (1, 2, 3):
+        with split_across(workers):
+            write_matrix(path, m)
+        assert path.read_text(encoding="utf-8") == format_matrix(m), workers
+    _assert_no_child_left()
 
 
 def test_written_files_are_byte_stable(tmp_path, pinned_env):

@@ -298,7 +298,8 @@ def _concurrency(tree: ast.AST) -> list[int]:
 def test_only_the_cli_starts_threads_or_processes():
     """The library modules stay pure functions of their inputs: only cli.py,
     which overlaps a factorization with a file read and forks verify's
-    workers, imports threading, multiprocessing or concurrent, or forks."""
+    workers and the codec's helpers, imports threading, multiprocessing or
+    concurrent, or forks."""
     found = [f"{name}:{line}" for name, tree in _trees(SRC).items() if name != "cli.py"
              for line in _concurrency(tree)]
     assert found == [], found
@@ -306,6 +307,20 @@ def test_only_the_cli_starts_threads_or_processes():
     for snippet in ("import threading", "import multiprocessing.pool", "from concurrent import futures",
                     "from os import fork", "os.fork()", "pid = os.fork"):
         assert _concurrency(ast.parse(snippet)), snippet
+
+
+def _fork_calls(tree: ast.AST) -> list[int]:
+    """Lines that call ``os.fork``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and (node.func.value.id, node.func.attr) == ("os", "fork")]
+
+
+def test_one_fork_call_site():
+    """``verify``'s suite workers and the matrix codec's row ranges fork, collect,
+    kill and reap through one helper, so cli.py calls ``os.fork`` once."""
+    assert len(_fork_calls(_trees(SRC)["cli.py"])) == 1
+    assert _fork_calls(ast.parse("os.fork()\nif os.fork() == 0: pass\nos.forkpty()")) == [1, 2]
 
 
 def test_one_acceptance_test():

@@ -1,13 +1,18 @@
-"""``staralg verify`` runs its suites in forked workers: the worker-count rule,
-and that stdout, stderr, the exit code and the ``--report`` bytes are those of
-one process, on every path, with no child left behind."""
+"""Forked workers: ``staralg verify`` runs its suites in them, and the matrix
+codec reads and writes a large file's row ranges in them.  The worker-count
+rule; that stdout, stderr, the exit code and the ``--report`` bytes are those
+of one process; that a file parses and writes as in one process, errors
+included; and that no child is left behind, on every path."""
 
+import io
 import os
+import threading
 import time
 
+import numpy as np
 import pytest
 
-from staralg import NumericError, SUITE_NAMES
+from staralg import MatrixFormatError, NumericError, SUITE_NAMES, Seed, SplitMix64
 from staralg import cli
 
 
@@ -212,3 +217,197 @@ def test_an_interrupt_kills_and_reaps_every_child(tmp_path, capsys, machine, mon
     assert time.monotonic() - started < 60
     _assert_no_child_left()
     assert capsys.readouterr() == ("", "")
+
+
+# --- the matrix codec ------------------------------------------------------
+
+
+def _outcome(source):
+    """parse_matrix's bytes, or its error's message, line and column."""
+    try:
+        return cli.parse_matrix(source).tobytes()
+    except MatrixFormatError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _rows_text(m):
+    return cli.format_matrix(m).splitlines(keepends=True)
+
+
+def _cut_lines(lines, workers):
+    """The index of the line that holds byte i / workers of the file, for each i."""
+    ends = np.cumsum([len(line.encode()) for line in lines])
+    return [int(np.searchsorted(ends, ends[-1] * i // workers, side="right"))
+            for i in range(1, workers)]
+
+
+def _variants(m):
+    """A written file of m and departures from it near every cut of 2 and 3 ranges."""
+    lines = _rows_text(m)
+
+    def swap(j, new):
+        return "".join([*lines[:j], new, *lines[j + 1:]])
+
+    def bad(j):
+        return lines[j].replace("(", "(x", 1)
+
+    out = {"written": "".join(lines), "crlf": "".join(lines).replace("\n", "\r\n"),
+           "trailing blanks": "".join(lines) + "\n \t\n\n",
+           "too many rows": "".join(lines + [lines[-1]]),
+           "too few rows": swap(0, f"{len(m) + 1} {m.shape[1]}\n"),
+           "bad rows in two ranges": "".join([lines[0], bad(1), *lines[2:-1], bad(-1)])}
+    for j in sorted({j + d for k in (2, 3) for j in _cut_lines(lines, k) for d in (-1, 0, 1)}):
+        out[f"bad row {j}"] = swap(j, bad(j))
+        out[f"blank after {j}"] = swap(j, lines[j] + "\n")
+        out[f"nbsp in {j}"] = swap(j, lines[j].replace(") (", ")\xa0(", 1))
+    return out
+
+
+def test_split_parse_gives_what_one_process_gives(tmp_path, machine, forks, monkeypatch):
+    """Bad rows in a lower range, on a cut's line and in two ranges, too many
+    and too few rows, trailing blanks, a blank between rows and CRLF: each
+    parses to the same bytes, or the same message, line and column, at k = 2
+    and 3 as at k = 1."""
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    m = SplitMix64(Seed(4)).complex_gaussian(12, 3)
+    for name, text in _variants(m).items():
+        path = tmp_path / "v.mat"
+        path.write_text(text, encoding="utf-8", newline="")
+        machine(1, None)
+        expected = _outcome(path)
+        for workers in (2, 3):
+            machine(workers, "1")
+            forks.clear()
+            assert _outcome(path) == expected, (name, workers)
+            assert len(forks) == workers - 1, (name, workers)
+            _assert_no_child_left()
+    assert _outcome(io.StringIO(_variants(m)["written"])) == m.tobytes()
+
+
+@pytest.fixture
+def faulty(monkeypatch):
+    """Make every forked helper fail in one way, in the codec's helpers."""
+    parent = os.getpid()
+
+    def make(fault):
+        if fault == "exits 9 before sending":
+            for name in ("_read_rows", "_format_rows"):
+                real = getattr(cli, name)
+                monkeypatch.setattr(cli, name, lambda *args, real=real: (
+                    os._exit(9) if os.getpid() != parent else real(*args)))
+        elif fault == "sends, then exits 7":
+            real_exit = os._exit
+            # only children exit
+            monkeypatch.setattr(os, "_exit", lambda code: real_exit(code or 7))
+        else:  # the parent meets fewer bytes than were announced
+            real_length = cli._length
+            monkeypatch.setattr(cli, "_length", lambda pipe: (real_length(pipe), pipe.read(16))[0])
+
+    return make
+
+
+@pytest.mark.parametrize("fault", ["exits 9 before sending", "sends, then exits 7",
+                                   "short payload"])
+def test_a_failing_helper_changes_no_result(tmp_path, machine, monkeypatch, forks, faulty, fault):
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    m = SplitMix64(Seed(5)).complex_gaussian(9, 4)
+    variants = _variants(m)
+    texts = [variants[name] for name in ("written", "bad rows in two ranges", "too few rows")]
+    machine(1, None)
+    expected = []
+    for i, text in enumerate(texts):
+        (tmp_path / f"{i}.mat").write_text(text, encoding="utf-8")
+        expected.append(_outcome(tmp_path / f"{i}.mat"))
+    faulty(fault)
+    machine(3, "1")
+    for i in range(len(texts)):
+        assert _outcome(tmp_path / f"{i}.mat") == expected[i], i
+        _assert_no_child_left()
+    cli.write_matrix(tmp_path / "w.mat", m)
+    _assert_no_child_left()
+    assert (tmp_path / "w.mat").read_text(encoding="utf-8") == variants["written"]
+    assert len(forks) == 2 * (len(texts) + 1)
+
+
+def test_an_interrupt_in_the_codec_kills_and_reaps_every_helper(tmp_path, machine, monkeypatch):
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    path = tmp_path / "m.mat"
+    path.write_text(cli.format_matrix(np.eye(6)), encoding="utf-8")
+    parent = os.getpid()
+
+    def read_rows(*args):
+        if os.getpid() != parent:
+            time.sleep(120)  # only a kill ends this child in time
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_read_rows", read_rows)
+    machine(2, "1")
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.parse_matrix(path)
+    assert time.monotonic() - started < 60
+    _assert_no_child_left()
+
+
+def test_what_forks(tmp_path, machine, forks, monkeypatch):
+    """A matrix below the threshold, k = 1, a stream and a pipe never fork; a
+    matrix at the threshold forks once per direction at k = 2."""
+    at = SplitMix64(Seed(6)).complex_gaussian(cli._SPLIT_ENTRIES // 64, 64)
+    below = at[:-1]
+    path = tmp_path / "m.mat"
+    for m, cpus, blas_threads, fork_calls in [(at, 2, "1", 1), (below, 2, "1", 0), (at, 2, None, 0),
+                                              (at, 1, "1", 0), (at, 4, "2", 1)]:
+        machine(cpus, blas_threads)
+        forks.clear()
+        cli.write_matrix(path, m)
+        assert len(forks) == fork_calls
+        assert cli.parse_matrix(path).tobytes() == m.tobytes()
+        assert len(forks) == 2 * fork_calls
+    machine(2, "1")
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    small = cli.format_matrix(np.arange(12.0).reshape(4, 3))
+    forks.clear()
+    assert cli.parse_matrix(io.StringIO(path.read_text())).tobytes() == at.tobytes()
+    read_end, write_end = os.pipe()
+    os.write(write_end, small.encode())  # fits in the pipe's buffer
+    os.close(write_end)
+    try:
+        expected = cli.parse_matrix(io.StringIO(small)).tobytes()
+        assert cli.parse_matrix(f"/dev/fd/{read_end}").tobytes() == expected
+    finally:
+        os.close(read_end)
+    assert forks == []
+    _assert_no_child_left()
+
+
+def test_solve_system_parses_b_in_one_process(tmp_path, machine, forks, monkeypatch):
+    """a is read split before the factor thread starts; nothing forks while it
+    runs, so b is read in one process; X is written split after the join, and
+    its bytes are those of k = 1."""
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    a, b = (tmp_path / "a.mat", tmp_path / "b.mat")
+    assert cli.main(["gen", "star-pair", "--n", "8", "--rank", "3", "--extra", "2", "--seed", "2",
+                     "--out-a", str(a), "--out-b", str(b)]) == 0
+    argv = ["solve", "system", "--a", str(a), "--b", str(b), "--out"]
+    machine(1, None)
+    assert cli.main([*argv, str(tmp_path / "x1.mat")]) == 0
+    b_read = threading.Event()
+    real_factor, real_parse = cli.factor, cli.parse_matrix
+    per_parse = []
+
+    def parse(source):
+        before = len(forks)
+        m = real_parse(source)
+        per_parse.append(len(forks) - before)
+        b_read.set() if source == str(b) else None
+        return m
+
+    monkeypatch.setattr(cli, "factor", lambda m: b_read.wait(60) and real_factor(m))
+    monkeypatch.setattr(cli, "parse_matrix", parse)
+    machine(2, "1")
+    forks.clear()
+    assert cli.main([*argv, str(tmp_path / "x2.mat")]) == 0
+    assert per_parse == [1, 0]
+    assert len(forks) == 2  # a's read and X's write
+    assert (tmp_path / "x2.mat").read_bytes() == (tmp_path / "x1.mat").read_bytes()
+    _assert_no_child_left()
