@@ -230,10 +230,6 @@ def _outcome(source):
         return str(exc), exc.line, exc.column
 
 
-def _rows_text(m):
-    return cli.format_matrix(m).splitlines(keepends=True)
-
-
 def _cut_lines(lines, workers):
     """The index of the line that holds byte i / workers of the file, for each i."""
     ends = np.cumsum([len(line.encode()) for line in lines])
@@ -243,7 +239,7 @@ def _cut_lines(lines, workers):
 
 def _variants(m):
     """A written file of m and departures from it near every cut of 2 and 3 ranges."""
-    lines = _rows_text(m)
+    lines = cli.format_matrix(m).splitlines(keepends=True)
 
     def swap(j, new):
         return "".join([*lines[:j], new, *lines[j + 1:]])
