@@ -30,6 +30,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import sys
 import threading
 from pathlib import Path
@@ -61,9 +62,11 @@ _HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\r?\n")
 _PLAIN = rb"\([0-9eE.+-]+,[0-9eE.+-]+\)"
 _PLAIN_ROW = re.compile(rb"[ \t]*%s(?:[ \t]+%s)*[ \t]*\r?\n?" % (_PLAIN, _PLAIN))
 _UNWRAP = bytes.maketrans(b"(),", b"   ")
-# a matrix of at least this many entries (n = 182, a file of about 1.5 MB) is read
-# and written in row ranges across forked helpers, where CPUs are free
-_SPLIT_ENTRIES = 1 << 15
+# a matrix of at least this many entries (n = 128, a file of about 0.7 MB) is read
+# and written in row ranges across forked helpers, where CPUs are free: from this
+# size on, two processes measured faster than one in 9 of 10 rounds; near 7000
+# entries they break even
+_SPLIT_ENTRIES = 1 << 14
 
 
 class _NotWritten(ValueError):
@@ -129,6 +132,7 @@ def _parse_written(fh, path) -> np.ndarray:
     """Read a binary file laid out as format_matrix writes it; forked helpers read
     all but the first row range of a large file that ``path`` names.  Any
     departure in any range raises a ValueError or a ChildProcessError."""
+    fh.seek(0)  # a retry reads from the start again
     size = os.fstat(fh.fileno()).st_size if path else 0
     header = _HEADER.fullmatch(fh.readline())
     if header is None:
@@ -141,7 +145,7 @@ def _parse_written(fh, path) -> np.ndarray:
 
     def rows_in(lo, hi):  # opened anew: an inherited file shares the parent's offset
         with open(path, "rb") as own:
-            return _read_rows(own, lo, hi, cols)
+            return [_read_rows(own, lo, hi, cols)]
 
     ranges = zip(bounds[1:], bounds[2:])
     with _forked([functools.partial(rows_in, lo, hi) for lo, hi in ranges]) as pipes:
@@ -186,10 +190,12 @@ def parse_matrix(source) -> np.ndarray:
     raw = open(source, "rb") if text is None else io.BytesIO(text.encode("utf-8", "surrogatepass"))
     with raw:
         data = None if raw.seekable() else raw.read()  # a pipe can be read only once
-        # any departure: read the text exactly
-        with contextlib.suppress(ValueError, ChildProcessError):
-            split = text is None and data is None and source
-            return _parse_written(raw if data is None else io.BytesIO(data), split)
+        fh = raw if data is None else io.BytesIO(data)
+        with contextlib.suppress(ValueError):  # any departure: read the text exactly
+            try:
+                return _parse_written(fh, text is None and data is None and source)
+            except ChildProcessError:  # a helper failed or could not start: read it here
+                return _parse_written(fh, None)
     if text is None:
         text = _utf8(Path(source).read_bytes() if data is None else data)
     lines = text.splitlines()
@@ -223,7 +229,7 @@ def parse_matrix(source) -> np.ndarray:
 
 
 def _format_rows(mat: np.ndarray):
-    row_format = " ".join(["(%.17g,%.17g)"] * mat.shape[1]) + "\n"
+    row_format = b" ".join([b"(%.17g,%.17g)"] * mat.shape[1]) + b"\n"
     for row in mat:
         # re, im, re, im, ... of one row; the copy only happens for strided rows
         yield row_format % tuple(np.ascontiguousarray(row).view(np.float64).tolist())
@@ -232,32 +238,36 @@ def _format_rows(mat: np.ndarray):
 def format_matrix(m) -> str:
     """Serialize a matrix; floats carry 17 significant digits for round-trips."""
     mat = as_cmat(m)
-    return "".join([f"{mat.shape[0]} {mat.shape[1]}\n", *_format_rows(mat)])
+    return b"".join([b"%d %d\n" % mat.shape, *_format_rows(mat)]).decode()
 
 
-def _write_rows(path, mat: np.ndarray, workers: int) -> None:
+def _write_rows(fh, mat: np.ndarray, workers: int) -> None:
     cuts = [len(mat) * i // workers for i in range(workers + 1)]
-    jobs = [lambda rows=mat[lo:hi]: "".join(_format_rows(rows)).encode()
-            for lo, hi in zip(cuts[1:], cuts[2:])]
-    with open(path, "w", encoding="utf-8") as fh, _forked(jobs) as pipes:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
+    # a helper holds its rows' text once, as lines it sends without joining them
+    jobs = [lambda rows=mat[lo:hi]: list(_format_rows(rows)) for lo, hi in zip(cuts[1:], cuts[2:])]
+    with _forked(jobs) as pipes:
+        fh.write(b"%d %d\n" % mat.shape)
         fh.writelines(_format_rows(mat[:cuts[1]]))
-        fh.flush()
         for pipe in pipes:
-            end = _length(pipe) + fh.buffer.tell()
-            shutil.copyfileobj(pipe, fh.buffer, 1 << 14)  # a bounded buffer
-            if fh.buffer.tell() != end:
+            end = _length(pipe) + fh.tell()
+            shutil.copyfileobj(pipe, fh, 1 << 14)  # a bounded buffer
+            if fh.tell() != end:
                 raise ChildProcessError("a helper sent other than the bytes it announced")
 
 
 def write_matrix(path, m) -> None:
     """Write ``format_matrix(m)`` line by line; a bad m raises before the file opens.
-    Forked helpers format all but the first row range of a large m."""
+    Forked helpers format all but the first row range of a large m written to a
+    regular file, the only kind that can be cut back and written again."""
     mat = as_cmat(m)
-    try:
-        _write_rows(path, mat, _workers(len(mat)) if mat.size >= _SPLIT_ENTRIES else 1)
-    except ChildProcessError:  # a helper failed: write it all again, here
-        _write_rows(path, mat, 1)
+    with open(path, "wb") as fh:
+        split = mat.size >= _SPLIT_ENTRIES and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            _write_rows(fh, mat, _workers(len(mat)) if split else 1)
+        except ChildProcessError:  # a helper failed or could not start: write it all here
+            fh.seek(0)
+            fh.truncate()
+            _write_rows(fh, mat, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -464,18 +474,25 @@ def _workers(tasks: int) -> int:
 
 @contextlib.contextmanager
 def _forked(jobs):
-    """Fork a child per job, which sends the job's bytes-like result, after its
-    8-byte length, on a pipe of its own; yield the pipes in job order.  Every child
-    is reaped on the way out, killed first on a raise, and must have exited 0."""
+    """Fork a child per job, which sends the bytes-like chunks the job returns, after
+    their 8-byte total length, on a pipe of its own; yield the pipes in job order.  Every child
+    is reaped on the way out, killed first on a raise, and must have exited 0; a
+    fork that fails raises ChildProcessError too."""
     children = {}  # pid -> the read end of its pipe
     try:
         for job in jobs:
             result, send = os.pipe()
-            if (pid := os.fork()) == 0:  # a child never prints and never returns
+            try:
+                pid = os.fork()
+            except OSError as exc:  # out of processes or memory: the caller goes on alone
+                os.close(result)
+                os.close(send)
+                raise ChildProcessError(f"cannot fork a helper: {exc}") from exc
+            if pid == 0:  # a child never prints and never returns
                 try:
-                    payload = memoryview(job()).cast("B")
+                    chunks = [memoryview(chunk).cast("B") for chunk in job()]
                     with open(send, "wb") as out:
-                        out.writelines([len(payload).to_bytes(8, "little"), payload])
+                        out.writelines([sum(map(len, chunks)).to_bytes(8, "little"), *chunks])
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -514,7 +531,7 @@ def _run_suites(names, args, workers: int) -> list[tuple[str, bool]]:
         return done
 
     try:
-        with _forked([lambda: marshal.dumps(claim())] * (workers - 1)) as pipes:
+        with _forked([lambda: [marshal.dumps(claim())]] * (workers - 1)) as pipes:
             done = claim()
             for pipe in pipes:
                 done.update(marshal.loads(pipe.read(_length(pipe))))  # a short one fails to load

@@ -6,12 +6,16 @@ included; and that no child is left behind, on every path."""
 
 import io
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import staralg
 from staralg import MatrixFormatError, NumericError, SUITE_NAMES, Seed, SplitMix64
 from staralg import cli
 
@@ -407,3 +411,106 @@ def test_solve_system_parses_b_in_one_process(tmp_path, machine, forks, monkeypa
     assert len(forks) == 2  # a's read and X's write
     assert (tmp_path / "x2.mat").read_bytes() == (tmp_path / "x1.mat").read_bytes()
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, failing_call", [(2, 1), (3, 2)])
+def test_a_fork_that_fails_changes_no_result(tmp_path, capsys, machine, monkeypatch, cpus,
+                                             failing_call):
+    """A fork that fails for want of processes or memory, the first one or one
+    after a helper has started, leaves the codec and ``verify`` in one process:
+    the same bytes, messages and exit codes, no helper left and no pipe open."""
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    m = SplitMix64(Seed(7)).complex_gaussian(9, 4)
+    variants = _variants(m)
+    machine(1, None)
+    expected = []
+    for i, name in enumerate(("written", "bad rows in two ranges")):
+        (tmp_path / f"{i}.mat").write_text(variants[name], encoding="utf-8")
+        expected.append(_outcome(tmp_path / f"{i}.mat"))
+    reference = _run(_argv(suite="penrose"), tmp_path, capsys, "reference")
+    real_fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(1)
+        if len(calls) % failing_call == 0:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    machine(cpus, "1")
+    open_fds = len(os.listdir("/dev/fd"))
+    with monkeypatch.context() as patched:  # a written file stays off the row-by-row path
+        patched.setattr(cli, "_parse_row", None)
+        assert _outcome(tmp_path / "0.mat") == expected[0]
+    assert _outcome(tmp_path / "1.mat") == expected[1]
+    _assert_no_child_left()
+    cli.write_matrix(tmp_path / "w.mat", m)
+    assert (tmp_path / "w.mat").read_text(encoding="utf-8") == variants["written"]
+    _assert_no_child_left()
+    argv = ["verify", "--suite", "all", "--trials", "1", "--dims", "3", "--seed", "5"]
+    machine(1, None)
+    one = _run(argv, tmp_path, capsys, "one")
+    machine(cpus, "1")
+    assert _run(argv, tmp_path, capsys, "forks fail") == one
+    assert _run(_argv(suite="penrose"), tmp_path, capsys, "penrose") == reference
+    _assert_no_child_left()
+    assert len(os.listdir("/dev/fd")) == open_fds
+    assert calls
+
+
+def test_a_pipe_is_written_in_one_process(tmp_path, capsys, machine, forks, monkeypatch):
+    """An output that cannot be cut back and written again, such as a pipe, is
+    written in one process, by write_matrix and by ``pinv --out``."""
+    monkeypatch.setattr(cli, "_SPLIT_ENTRIES", 0)
+    m = SplitMix64(Seed(8)).complex_gaussian(6, 3)
+    source = tmp_path / "m.mat"
+    source.write_text(cli.format_matrix(m), encoding="utf-8")
+    machine(1, None)
+    assert cli.main(["pinv", "--in", str(source), "--out", str(tmp_path / "p.mat")]) == 0
+    machine(2, "1")
+    forks.clear()
+    for write, expected in [(lambda out: cli.write_matrix(out, m), cli.format_matrix(m)),
+                            (lambda out: cli.main(["pinv", "--in", str(source), "--out", out]),
+                             (tmp_path / "p.mat").read_text(encoding="utf-8"))]:
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as received:
+            try:
+                write(f"/dev/fd/{write_end}")  # the text fits in the pipe's buffer
+            finally:
+                os.close(write_end)
+            assert received.read().decode() == expected
+    assert len(forks) == 1  # pinv's read of its regular input file
+    assert capsys.readouterr() == ("", "")
+    _assert_no_child_left()
+
+
+_HELPER_GROWTH = r"""
+import os, resource, sys
+from staralg import SplitMix64, Seed, cli
+direction, path, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+m = SplitMix64(Seed(9)).complex_gaussian(n, n)
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.sched_getaffinity = lambda pid: {0, 1}
+with cli._forked([bytes]) as pipes:  # a helper that holds nothing of its own
+    pipes[0].read()
+inherited = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+cli.write_matrix(path, m) if direction == "write" else cli.parse_matrix(path)
+print((resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss - inherited) * 1024)
+"""
+
+
+def test_a_helper_holds_its_range_once(tmp_path):
+    """A write helper's peak grows by about its range's text, which it holds
+    once and sends without joining; a parse helper's by its range's floats and
+    the conversion's own buffers, never by its text.  Measured as the helper's
+    peak resident size beyond a helper that holds nothing, at n = 400 and k = 2."""
+    n, path = 400, tmp_path / "m.mat"
+    cli.write_matrix(path, SplitMix64(Seed(9)).complex_gaussian(n, n))
+    env = {**os.environ, "PYTHONPATH": str(Path(staralg.__file__).resolve().parent.parent)}
+    growth = {direction: int(subprocess.run(
+        [sys.executable, "-c", _HELPER_GROWTH, direction, str(path), str(n)],
+        env=env, check=True, capture_output=True, text=True).stdout)
+        for direction in ("write", "parse")}
+    range_text, range_floats = path.stat().st_size / 2, 16 * n * n / 2
+    assert growth["write"] <= 1.25 * range_text + 2**20, growth
+    assert growth["parse"] <= 2 * range_floats + 2**21, growth
