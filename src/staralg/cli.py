@@ -4,12 +4,12 @@ commands, instance generators, and the claim-suite runner.
 Matrix files are plain text: a ``rows cols`` header line followed by one
 line per row of whitespace-separated ``(re,im)`` tokens.  Floats are written
 with 17 significant digits, so write-then-read round-trips bit exactly.
-Written files are streamed in and out line by line, a large one in row ranges
-across forked helpers on the CPUs the BLAS leaves free; any other file is read
-row by row, which locates the first malformed entry.  ``solve system`` factors
-a on a worker thread while it reads b, and nothing forks while a thread runs.
-``verify`` runs whole suites in forked processes on the same CPUs, and prints
-their lines in suite order.
+Written files are streamed in and out line by line, a large regular file in
+row ranges across forked helpers on the CPUs the BLAS leaves free; any other
+file is read row by row, which locates the first malformed entry.  ``solve
+system`` factors a on a worker thread while it reads b, and nothing forks while
+a thread runs.  ``verify`` runs whole suites in forked processes on the same
+CPUs, and prints their lines in suite order.
 
 Exit codes are the machine contract:
     0  success / predicate holds
@@ -64,8 +64,8 @@ _PLAIN_ROW = re.compile(rb"[ \t]*%s(?:[ \t]+%s)*[ \t]*\r?\n?" % (_PLAIN, _PLAIN)
 _UNWRAP = bytes.maketrans(b"(),", b"   ")
 # a matrix of at least this many entries (n = 128, a file of about 0.7 MB) is read
 # and written in row ranges across forked helpers, where CPUs are free: from this
-# size on, two processes measured faster than one in 9 of 10 rounds; near 7000
-# entries they break even
+# size on, two processes measured faster than one in 9 of 10 rounds; near n = 80
+# they break even
 _SPLIT_ENTRIES = 1 << 14
 
 
@@ -474,10 +474,10 @@ def _workers(tasks: int) -> int:
 
 @contextlib.contextmanager
 def _forked(jobs):
-    """Fork a child per job, which sends the bytes-like chunks the job returns, after
-    their 8-byte total length, on a pipe of its own; yield the pipes in job order.  Every child
-    is reaped on the way out, killed first on a raise, and must have exited 0; a
-    fork that fails raises ChildProcessError too."""
+    """Fork a child per job, which sends the bytes-like chunks the job returns,
+    after their 8-byte total length, on a pipe of its own; yield the pipes in job
+    order.  Every child is reaped on the way out, killed first on a raise, and must
+    have exited 0; a fork that fails raises ChildProcessError too."""
     children = {}  # pid -> the read end of its pipe
     try:
         for job in jobs:
